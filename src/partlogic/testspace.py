@@ -1,4 +1,20 @@
-"""Foulis-Randall test spaces: events, perspectivity, weights, partition test spaces."""
+"""Foulis-Randall test spaces: events, perspectivity, weights, partition test spaces.
+
+The exponential searches share one exact-cover engine, `_exact_covers`:
+Knuth's Algorithm X over integer bitmasks.  Rows are masks over the columns;
+each step branches on the uncovered column with the fewest rows that still
+fit, and an explicit stack takes the place of recursion.  Its callers:
+
+- two-valued weights (`enumerate_two_valued_weights`,
+  `ts_to_partition_test_space`): the columns are the tests and each
+  outcome's row is the set of tests that contain it; an outcome in no test
+  is free and doubles the count;
+- `completion` and `is_complete`: the columns are the base points and the
+  rows are the cells.
+
+`omp_conditions` works on one orthogonality bitmask over event indices per
+event.
+"""
 
 import itertools
 from dataclasses import dataclass
@@ -8,6 +24,62 @@ from .atlas import PropertyCheck
 from .errors import AlgebraicityError, SeparationError, StructureError
 from .oa import AxiomReport, FiniteQuasiOrthoalgebra, Violation, format_label
 from .partition import PartitionLogic
+
+
+def _cell_key(cell):
+    """Canonical sort key of a cell: its points' labels in order."""
+    return tuple(sorted(str(p) for p in cell))
+
+
+def _bits(mask):
+    """Indices of the set bits of mask, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _exact_covers(width, rows):
+    """Algorithm X: every set of rows covering columns 0..width-1 exactly once.
+
+    Rows are int bitmasks over the columns; each cover is a list of row
+    indices.  Each step branches on the uncovered column with the fewest
+    rows that still fit.  The search keeps its own stack, so its depth is
+    not bounded by the interpreter's recursion limit.
+    """
+    full = (1 << width) - 1
+    col_rows = [[] for _ in range(width)]
+    for r, row in enumerate(rows):
+        for c in _bits(row):
+            col_rows[c].append(r)
+
+    def fitting(covered):
+        best = None
+        for c in _bits(full & ~covered):
+            fits = [r for r in col_rows[c] if not rows[r] & covered]
+            if best is None or len(fits) < len(best):
+                best = fits
+                if len(fits) <= 1:
+                    break
+        return iter(best)
+
+    covers, chosen = [], []
+    stack = [(0, fitting(0))]
+    while stack:
+        covered, options = stack[-1]
+        r = next(options, None)
+        if r is None:
+            stack.pop()
+            if chosen:
+                chosen.pop()
+            continue
+        now = covered | rows[r]
+        if now == full:
+            covers.append(chosen + [r])
+        else:
+            chosen.append(r)
+            stack.append((now, fitting(now)))
+    return covers
 
 
 class TestSpace:
@@ -26,6 +98,7 @@ class TestSpace:
         for t in self.tests:
             if not t <= known:
                 raise StructureError("test mentions an undeclared outcome")
+        self._position = {x: i for i, x in enumerate(self.outcomes)}
 
     @classmethod
     def from_greechie(cls, diagram):
@@ -39,7 +112,7 @@ class TestSpace:
         )
 
     def _key(self, outcome):
-        return self.outcomes.index(outcome)
+        return self._position[outcome]
 
     def event_key(self, event):
         return (len(event), tuple(sorted(self._key(x) for x in event)))
@@ -103,9 +176,7 @@ class PartitionTestSpace:
 
     def as_test_space(self):
         """Reinterpret with outcome set Y = cells."""
-        ordered = sorted(
-            self.cells, key=lambda c: tuple(sorted(str(p) for p in c))
-        )
+        ordered = sorted(self.cells, key=_cell_key)
         return TestSpace(ordered, self.tests)
 
     def __repr__(self):
@@ -263,35 +334,38 @@ def is_weight(ts, w):
     return all(sum(w(x) for x in t) == 1 for t in ts.tests)
 
 
+def _two_valued_masks(ts):
+    """The sets of outcomes valued 1 by the two-valued weights, as bitmasks.
+
+    Bit n-1-i stands for outcome i, so the masks ascend in the order of the
+    weights' value vectors.
+    """
+    n = len(ts.outcomes)
+    tests_of = {}
+    for j, t in enumerate(ts.tests):
+        for x in t:
+            tests_of[x] = tests_of.get(x, 0) | 1 << j
+    rows, row_bits, free = [], [], [0]
+    for i, x in enumerate(ts.outcomes):
+        bit = 1 << (n - 1 - i)
+        if x in tests_of:
+            rows.append(tests_of[x])
+            row_bits.append(bit)
+        else:
+            free += [f | bit for f in free]
+    covers = _exact_covers(len(ts.tests), rows)
+    return sorted(
+        sum(row_bits[r] for r in cover) | f for cover in covers for f in free
+    )
+
+
 def enumerate_two_valued_weights(ts):
-    """All {0,1} weights (one outcome valued 1 per test), by backtracking."""
-    order = list(ts.outcomes)
-    tests = [frozenset(t) for t in ts.tests]
-    val = {}
-    results = []
-
-    def consistent():
-        for t in tests:
-            ones = sum(1 for x in t if val.get(x) == 1)
-            unknown = sum(1 for x in t if x not in val)
-            if ones > 1 or ones + unknown == 0:
-                return False
-        return True
-
-    def search(i):
-        if i == len(order):
-            if all(sum(val[x] for x in t) == 1 for t in tests):
-                results.append(dict(val))
-            return
-        for b in (0, 1):
-            val[order[i]] = b
-            if consistent():
-                search(i + 1)
-            del val[order[i]]
-
-    search(0)
-    results.sort(key=lambda v: tuple(v[x] for x in order))
-    return [Weight(ts, v) for v in results]
+    """All {0,1} weights (one outcome valued 1 per test), by value vector."""
+    n = len(ts.outcomes)
+    return [
+        Weight(ts, {x: m >> (n - 1 - i) & 1 for i, x in enumerate(ts.outcomes)})
+        for m in _two_valued_masks(ts)
+    ]
 
 
 def ts_to_partition_test_space(ts):
@@ -301,61 +375,60 @@ def ts_to_partition_test_space(ts):
     a partition of the weight set.  Requires the weights to separate
     outcomes.
     """
-    weights = enumerate_two_valued_weights(ts)
-    if not weights:
+    masks = _two_valued_masks(ts)
+    if not masks:
         raise SeparationError("no separating two-valued weights")
-    names = {id(w): "w%d" % (i + 1) for i, w in enumerate(weights)}
+    names = ["w%d" % (k + 1) for k in range(len(masks))]
+    n = len(ts.outcomes)
+    valued = [[] for _ in ts.outcomes]
+    for name, m in zip(names, masks):
+        for b in _bits(m):
+            valued[n - 1 - b].append(name)
+    phi = {x: frozenset(v) for x, v in zip(ts.outcomes, valued)}
 
-    def phi(x):
-        return frozenset(names[id(w)] for w in weights if w(x) == 1)
-
-    for x, y in itertools.combinations(ts.outcomes, 2):
-        if phi(x) == phi(y):
+    # groups are keyed in order of their first outcome, so the first group
+    # with two members gives the first inseparable pair in combination order
+    groups = {}
+    for x in ts.outcomes:
+        groups.setdefault(phi[x], []).append(x)
+    for group in groups.values():
+        if len(group) > 1:
+            x, y = group[:2]
             raise SeparationError(
                 "outcomes %r and %r are inseparable" % (x, y), pair=(x, y)
             )
-    cells = [phi(x) for x in ts.outcomes]
-    tests = [frozenset(phi(x) for x in t) for t in ts.tests]
-    return PartitionTestSpace([names[id(w)] for w in weights], cells, tests)
+    cells = [phi[x] for x in ts.outcomes]
+    tests = [frozenset(phi[x] for x in t) for t in ts.tests]
+    return PartitionTestSpace(names, cells, tests)
 
 
-def _exact_covers(base, cells):
-    """All partitions of the base composed of the given cells."""
-    base = tuple(base)
-    cells = sorted(set(cells), key=lambda c: tuple(sorted(str(p) for p in c)))
-    out = []
+def _partitions(pts):
+    """All partitions of the base composed of declared cells.
 
-    def search(remaining, chosen):
-        if not remaining:
-            out.append(frozenset(chosen))
-            return
-        pivot = min(remaining, key=str)
-        for cell in cells:
-            if pivot in cell and cell <= remaining:
-                chosen.append(cell)
-                search(remaining - cell, chosen)
-                chosen.pop()
-
-    search(frozenset(base), [])
-    return out
+    They come in depth-first order: each cover's cells sorted by their least
+    label, compared cell by cell on `_cell_key`.
+    """
+    bit = {p: 1 << i for i, p in enumerate(pts.base)}
+    rows = [sum(bit[p] for p in c) for c in pts.cells]
+    keys = [_cell_key(c) for c in pts.cells]
+    covers = sorted(
+        _exact_covers(len(pts.base), rows),
+        key=lambda cover: sorted(keys[r] for r in cover),
+    )
+    return [frozenset(pts.cells[r] for r in cover) for cover in covers]
 
 
 def completion(pts):
     """Add every partition of the base formable from the declared cells."""
-    covers = _exact_covers(pts.base, pts.cells)
     existing = set(pts.tests)
-    added = sorted(
-        (c for c in covers if c not in existing),
-        key=lambda t: sorted(tuple(sorted(str(p) for p in c)) for c in t),
-    )
+    added = [c for c in _partitions(pts) if c not in existing]
     return PartitionTestSpace(pts.base, pts.cells, list(pts.tests) + added)
 
 
 def is_complete(pts):
     """True iff completion adds no test."""
-    covers = _exact_covers(pts.base, pts.cells)
     existing = set(pts.tests)
-    for c in covers:
+    for c in _partitions(pts):
         if c not in existing:
             return PropertyCheck(False, (c,))
     return PropertyCheck(True)
@@ -363,10 +436,7 @@ def is_complete(pts):
 
 def pts_to_partition_logic(pts):
     """Tests become partitions of the base; cell order is canonical."""
-    partitions = [
-        sorted(t, key=lambda c: tuple(sorted(str(p) for p in c)))
-        for t in pts.tests
-    ]
+    partitions = [sorted(t, key=_cell_key) for t in pts.tests]
     return PartitionLogic(pts.base, partitions)
 
 
@@ -393,22 +463,46 @@ def omp_conditions(pts):
     """
     ts = pts.as_test_space()
     events = ts.events()
+    bit = {x: 1 << i for i, x in enumerate(ts.outcomes)}
+    masks = [sum(bit[x] for x in e) for e in events]
+    index = {m: i for i, m in enumerate(masks)}
 
-    def orth(e, f):
-        return not (e & f) and any(e | f <= t for t in ts.tests)
+    # orth[i]: the events disjoint from event i and inside a common test;
+    # the events inside a test t are exactly the submasks of t
+    orth = [0] * len(events)
+    for t in set(sum(bit[x] for x in t) for t in ts.tests):
+        e = t
+        while True:
+            rest = t & ~e
+            f = rest
+            while True:
+                orth[index[e]] |= 1 << index[f]
+                if not f:
+                    break
+                f = (f - 1) & rest
+            if not e:
+                break
+            e = (e - 1) & t
 
     triple_witness = None
-    for e, f, g in itertools.product(events, repeat=3):
-        if orth(e, f) and orth(f, g) and orth(e, g) and not orth(e | f, g):
-            triple_witness = (e, f, g)
+    for i, oi in enumerate(orth):
+        for j in _bits(oi):
+            bad = oi & orth[j] & ~orth[index[masks[i] | masks[j]]]
+            if bad:
+                g = (bad & -bad).bit_length() - 1
+                triple_witness = (events[i], events[j], events[g])
+                break
+        if triple_witness:
             break
 
+    point = {p: 1 << k for k, p in enumerate(pts.base)}
+    cover = {x: sum(point[p] for p in x) for x in ts.outcomes}
+    # the cells of an event lie in one test, so they are disjoint
+    unions = [sum(cover[x] for x in e) for e in events]
     concrete_witness = None
-    for e1, e2 in itertools.combinations(events, 2):
-        u1 = frozenset().union(*e1) if e1 else frozenset()
-        u2 = frozenset().union(*e2) if e2 else frozenset()
-        if (not (u1 & u2)) != orth(e1, e2):
-            concrete_witness = (e1, e2)
+    for i, j in itertools.combinations(range(len(events)), 2):
+        if (not unions[i] & unions[j]) != bool(orth[i] >> j & 1):
+            concrete_witness = (events[i], events[j])
             break
     return OmpConditions(
         triple_witness is None,

@@ -1,6 +1,7 @@
 """Test spaces: events, perspectivity, weights, and the two correspondences."""
 
 import itertools
+import random
 
 import pytest
 
@@ -343,3 +344,174 @@ def test_single_test_pts_satisfies_both():
     )
     res = P.omp_conditions(pts)
     assert res.triple_condition and res.concrete_condition
+
+
+# slow oracles and large inputs --------------------------------------------------------
+
+
+def random_test_space(rng):
+    """Small test space; some outcomes may lie in no test, tests may repeat."""
+    outcomes = ["o%d" % i for i in range(rng.randint(1, 8))]
+    tests = [
+        set(rng.sample(outcomes, rng.randint(1, min(4, len(outcomes)))))
+        for _ in range(rng.randint(1, 5))
+    ]
+    if rng.random() < 0.3:
+        tests.append(set(rng.choice(tests)))
+    return P.TestSpace(outcomes, tests)
+
+
+def random_partition(rng, base):
+    points = list(base)
+    rng.shuffle(points)
+    cells = []
+    while points:
+        k = rng.randint(1, len(points))
+        cells.append(fs(points[:k]))
+        points = points[k:]
+    return fs(cells)
+
+
+def random_pts(rng, max_points=6, max_tests=4):
+    base = ["p%d" % i for i in range(rng.randint(1, max_points))]
+    rng.shuffle(base)
+    tests = [random_partition(rng, base) for _ in range(rng.randint(1, max_tests))]
+    cells = {c for t in tests for c in t}
+    for _ in range(rng.randint(0, 4)):
+        cells.add(fs(rng.sample(base, rng.randint(1, len(base)))))
+    return P.PartitionTestSpace(base, sorted(cells, key=sorted), tests)
+
+
+def random_pts_of_pairs(rng):
+    """Each test splits two singletons off the base and keeps the rest whole.
+
+    Tests on {a, b}, {b, c} and {a, c} give three pairwise orthogonal events
+    with no common test, so the triple condition often fails.
+    """
+    base = ["p%d" % i for i in range(rng.randint(4, 5))]
+    tests = []
+    for _ in range(rng.randint(3, 4)):
+        pair = rng.sample(base, 2)
+        rest = fs(set(base) - set(pair))
+        tests.append(fs([fs({pair[0]}), fs({pair[1]}), rest]))
+    cells = {c for t in tests for c in t}
+    return P.PartitionTestSpace(base, sorted(cells, key=sorted), tests)
+
+
+def brute_force_weights(ts):
+    rows = []
+    for row in itertools.product((0, 1), repeat=len(ts.outcomes)):
+        value = dict(zip(ts.outcomes, row))
+        if all(sum(value[x] for x in t) == 1 for t in ts.tests):
+            rows.append(row)
+    return rows
+
+
+def depth_first_covers(base, cells):
+    """Exact covers in the order of a depth-first search on the least label."""
+    cells = sorted(set(cells), key=lambda c: tuple(sorted(str(p) for p in c)))
+    out = []
+
+    def search(remaining, chosen):
+        if not remaining:
+            out.append(fs(chosen))
+            return
+        pivot = min(remaining, key=str)
+        for cell in cells:
+            if pivot in cell and cell <= remaining:
+                search(remaining - cell, chosen + [cell])
+
+    search(fs(base), [])
+    return out
+
+
+def events_cubed_omp_conditions(pts):
+    """The direct scan over events x events x events and event pairs."""
+    ts = pts.as_test_space()
+    events = ts.events()
+
+    def orth(e, f):
+        return not (e & f) and any(e | f <= t for t in ts.tests)
+
+    triple = None
+    for e, f, g in itertools.product(events, repeat=3):
+        if orth(e, f) and orth(f, g) and orth(e, g) and not orth(e | f, g):
+            triple = (e, f, g)
+            break
+    concrete = None
+    for e1, e2 in itertools.combinations(events, 2):
+        u1 = fs().union(*e1) if e1 else fs()
+        u2 = fs().union(*e2) if e2 else fs()
+        if (not (u1 & u2)) != orth(e1, e2):
+            concrete = (e1, e2)
+            break
+    return triple, concrete
+
+
+def test_weights_match_brute_force():
+    rng = random.Random(7)
+    free = repeated = 0
+    for _ in range(300):
+        ts = random_test_space(rng)
+        free += any(all(x not in t for t in ts.tests) for x in ts.outcomes)
+        repeated += len(set(ts.tests)) < len(ts.tests)
+        rows = [w.row() for w in P.enumerate_two_valued_weights(ts)]
+        assert rows == brute_force_weights(ts)
+    assert free and repeated
+
+
+def test_covers_match_brute_force_in_depth_first_order():
+    rng = random.Random(11)
+    for _ in range(300):
+        pts = random_pts(rng)
+        covers = [
+            fs(chosen)
+            for r in range(1, len(pts.cells) + 1)
+            for chosen in itertools.combinations(pts.cells, r)
+            if sum(len(c) for c in chosen) == len(pts.base)
+            and fs().union(*chosen) == set(pts.base)
+        ]
+        ordered = depth_first_covers(pts.base, pts.cells)
+        assert len(ordered) == len(covers) and set(ordered) == set(covers)
+        # with no tests declared, completion adds every cover in search order
+        bare = P.PartitionTestSpace(pts.base, pts.cells, [])
+        assert list(P.completion(bare).tests) == ordered
+        check = P.is_complete(pts)
+        missing = [c for c in ordered if c not in set(pts.tests)]
+        assert bool(check) == (not missing)
+        assert check.witness == (tuple(missing[:1]) if missing else None)
+
+
+def test_omp_conditions_match_events_cubed_scan():
+    rng = random.Random(3)
+    fails = {"triple": 0, "concrete": 0, "neither": 0}
+    for trial in range(120):
+        if trial % 2:
+            pts = random_pts_of_pairs(rng)
+        else:
+            pts = random_pts(rng, max_points=5, max_tests=3)
+        triple, concrete = events_cubed_omp_conditions(pts)
+        res = P.omp_conditions(pts)
+        assert res.triple_witness == triple
+        assert res.concrete_witness == concrete
+        assert res.triple_condition == (triple is None)
+        assert res.concrete_condition == (concrete is None)
+        fails["triple"] += triple is not None
+        fails["concrete"] += concrete is not None
+        fails["neither"] += triple is None and concrete is None
+    assert all(fails.values()), fails
+
+
+def test_is_complete_on_large_base_of_singletons():
+    base = ["p%d" % i for i in range(1200)]
+    cells = [fs({p}) for p in base]
+    pts = P.PartitionTestSpace(base, cells, [fs(cells)])
+    assert P.is_complete(pts)
+
+
+def test_weights_on_many_singleton_tests():
+    outcomes = ["o%d" % i for i in range(1200)]
+    ts = P.TestSpace(outcomes, [{x} for x in outcomes])
+    weights = P.enumerate_two_valued_weights(ts)
+    assert len(weights) == 1
+    assert set(weights[0].row()) == {1}
