@@ -6,6 +6,20 @@ from .errors import StructureError
 from .partition import PartitionLogic
 
 
+def _check_declared(machine):
+    """Raise unless every transition enters and every output is declared."""
+    states = set(machine.states)
+    outputs = set(machine.outputs)
+    for (q, a), target in machine.delta.items():
+        if target not in states:
+            raise StructureError(
+                "transition (%r, %r) enters undeclared state %r" % (q, a, target)
+            )
+    for where, out in machine.lam.items():
+        if out not in outputs:
+            raise StructureError("output %r of %r is not declared" % (out, where))
+
+
 class MooreAutomaton:
     """Finite transducer emitting one output per state."""
 
@@ -23,6 +37,7 @@ class MooreAutomaton:
             for a in self.inputs:
                 if (q, a) not in self.delta:
                     raise StructureError("no transition for (%r, %r)" % (q, a))
+        _check_declared(self)
 
     def __repr__(self):
         return "MooreAutomaton(%d states, %d inputs)" % (
@@ -48,6 +63,7 @@ class MealyAutomaton:
                     raise StructureError("no transition for (%r, %r)" % (q, a))
                 if (q, a) not in self.lam:
                     raise StructureError("no output for (%r, %r)" % (q, a))
+        _check_declared(self)
 
     def __repr__(self):
         return "MealyAutomaton(%d states, %d inputs)" % (

@@ -95,8 +95,10 @@ class PrimenessResult:
 class StateSpaceSolution:
     """Affine dimension of the exact equality system plus one sample point.
 
-    dimension is -1 when the equalities are inconsistent; feasible records
-    whether the sample also lies within the [0,1] bounds.
+    dimension is -1 when the equalities are inconsistent.  feasible is
+    decided exactly: it is True when some solution of the equalities lies
+    within the [0,1] bounds, and then sample is such a point (a state).
+    Otherwise sample is the solution with every free element at 0.
     """
 
     dimension: int
@@ -112,9 +114,8 @@ def atoms_of(table):
     ]
 
 
-def enumerate_two_valued_states(table):
-    """The complete list of two-valued states, in value-vector order."""
-    n = len(table.elements)
+def _sum_entries(table):
+    """Index triples (a, b, a + b), one per unordered sum pair, in pair order."""
     idx = table.index
     entries = []
     seen = set()
@@ -123,6 +124,14 @@ def enumerate_two_valued_states(table):
         if key not in seen:
             seen.add(key)
             entries.append((idx(a), idx(b), idx(c)))
+    return entries
+
+
+def enumerate_two_valued_states(table):
+    """The complete list of two-valued states, in value-vector order."""
+    n = len(table.elements)
+    idx = table.index
+    entries = _sum_entries(table)
     touching = [[] for _ in range(n)]
     for k, (ia, ib, ic) in enumerate(entries):
         for i in {ia, ib, ic}:
@@ -261,95 +270,144 @@ def is_prime(table):
     return PrimenessResult(True, tuple(sts), None)
 
 
-def _rref(rows):
-    """Reduced row echelon form in place; returns the pivot column list."""
-    if not rows:
-        return []
-    ncols = len(rows[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot = None
-        for i in range(r, len(rows)):
-            if rows[i][c] != 0:
-                pivot = i
-                break
-        if pivot is None:
+def _subtract(row, coef, other):
+    """row -= coef * other over sparse rows {column: coefficient}."""
+    for j, v in other.items():
+        w = row.get(j, 0) - coef * v
+        if w:
+            row[j] = w
+        else:
+            row.pop(j, None)
+
+
+def _eliminate(equations):
+    """Incremental sparse Gauss-Jordan over rows {column: coefficient}.
+
+    Each row pivots on its highest remaining column, and every pivot row
+    holds only non-pivot columns.  Returns {pivot: (row without the pivot,
+    right-hand side)}, so x[pivot] = rhs - sum(coef * x[col]), or None when
+    the equations are inconsistent.
+    """
+    pivots = {}
+    for eq, rhs in equations:
+        row = {}
+        for col, coef in eq:
+            _subtract(row, -coef, {col: 1})
+        for col in [c for c in row if c in pivots]:
+            coef = row.pop(col)
+            prow, prhs = pivots[col]
+            _subtract(row, coef, prow)
+            rhs -= coef * prhs
+        if not row:
+            if rhs:
+                return None
             continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        factor = rows[r][c]
-        rows[r] = [x / factor for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
+        p = max(row)
+        lead = row.pop(p)
+        # a unit lead keeps int coefficients int, which is much cheaper
+        inv = lead if lead in (1, -1) else 1 / Fraction(lead)
+        row = {j: v * inv for j, v in row.items()}
+        rhs = rhs * inv
+        for q, (qrow, qrhs) in pivots.items():
+            coef = qrow.pop(p, 0)
+            if coef:
+                _subtract(qrow, coef, row)
+                pivots[q] = (qrow, qrhs - coef * rhs)
+        pivots[p] = (row, rhs)
     return pivots
 
 
-def state_space_solve(table):
-    """Solve the exact linear state equations {s(1)=1, s(a)+s(b)=s(a+b)}.
+def _phase_one(rows, nvars):
+    """Some x >= 0 with a.x <= b on every row (a, b), or None if there is none.
 
-    Returns the affine dimension of the equality system and a sample
-    solution; bounds are only checked at the sample point.
+    A phase-1 simplex in exact arithmetic under Bland's rule (smallest-label
+    entering and leaving variables, so it cannot cycle).  The auxiliary
+    variable, label nvars, is subtracted from every row and minimized; the
+    slack of row i has label nvars + 1 + i.  Tableau row i reads
+    sum(t[j] * x[nonbasic[j]]) + x[basic[i]] = t[-1].
+    """
+    if all(b >= 0 for _, b in rows):
+        return [Fraction(0)] * nvars
+    aux = nvars
+    nonbasic = list(range(nvars + 1))
+    basic = [nvars + 1 + i for i in range(len(rows))]
+    tab = [
+        [Fraction(a.get(j, 0)) for j in range(nvars)] + [Fraction(-1), Fraction(b)]
+        for a, b in rows
+    ]
+    # objective: maximize -x[aux]; cost[-1] holds minus its current value
+    cost = [Fraction(0)] * nvars + [Fraction(-1), Fraction(0)]
+
+    def pivot(r, e):
+        row = tab[r]
+        inv = 1 / row[e]
+        row[e] = Fraction(1)
+        row = tab[r] = [x * inv for x in row]
+        for other in tab + [cost]:
+            f = other[e]
+            if f and other is not row:
+                other[e] = 0
+                for j, x in enumerate(row):
+                    if x:
+                        other[j] -= f * x
+        nonbasic[e], basic[r] = basic[r], nonbasic[e]
+
+    pivot(min(range(len(rows)), key=lambda i: tab[i][-1]), aux)
+    while True:
+        entering = [j for j in range(nvars + 1) if cost[j] > 0]
+        if not entering:
+            break
+        e = min(entering, key=nonbasic.__getitem__)
+        r = min(
+            (i for i in range(len(tab)) if tab[i][e] > 0),
+            key=lambda i: (tab[i][-1] / tab[i][e], basic[i]),
+        )
+        pivot(r, e)
+    if cost[-1] != 0:
+        return None
+    x = [Fraction(0)] * nvars
+    for i, v in enumerate(basic):
+        if v < nvars:
+            x[v] = tab[i][-1]
+    return x
+
+
+def state_space_solve(table):
+    """Solve the exact state equations {s(0)=0, s(1)=1, s(a)+s(b)=s(a+b)}.
+
+    The dimension is that of the equality system's affine solution set;
+    feasibility within the [0,1] bounds is decided by a phase-1 simplex,
+    so no state is ever enumerated.
     """
     n = len(table.elements)
     idx = table.index
+    equations = [(((idx(table.zero), 1),), 0), (((idx(table.one), 1),), 1)]
+    equations += [
+        (((ia, 1), (ib, 1), (ic, -1)), 0) for ia, ib, ic in _sum_entries(table)
+    ]
+    pivots = _eliminate(equations)
+    if pivots is None:
+        return StateSpaceSolution(-1, None, False)
+    free = [i for i in range(n) if i not in pivots]
+    local = {col: k for k, col in enumerate(free)}
+
+    # 0 <= rhs - a.f <= 1 over the free values f, as rows a.f <= b; rows
+    # that hold on the whole box [0,1]^d are dropped
     rows = []
-
-    def blank():
-        return [Fraction(0)] * (n + 1)
-
-    row = blank()
-    row[idx(table.zero)] = Fraction(1)
-    rows.append(row)
-    row = blank()
-    row[idx(table.one)] = Fraction(1)
-    row[n] = Fraction(1)
-    rows.append(row)
-    seen = set()
-    for a, b, c in table.pairs():
-        key = tuple(sorted((idx(a), idx(b)))) + (idx(c),)
-        if key in seen:
-            continue
-        seen.add(key)
-        row = blank()
-        row[idx(a)] += 1
-        row[idx(b)] += 1
-        row[idx(c)] -= 1
-        rows.append(row)
-
-    pivots = _rref(rows)
-    rank = len(pivots)
-    for i in range(rank, len(rows)):
-        if rows[i][n] != 0:
-            return StateSpaceSolution(-1, None, False)
-    dimension = n - rank
-
-    # particular solution: free variables at 0
-    particular = [Fraction(0)] * n
-    for r, c in enumerate(pivots):
-        particular[c] = rows[r][n]
-
-    candidates = [particular]
-    sts = enumerate_two_valued_states(table)
-    if sts:
-        k = len(sts)
-        mean = [
-            Fraction(sum(s.bits[i] for s in sts), k) for i in range(n)
-        ]
-        candidates.append(mean)
-        candidates.extend([Fraction(b) for b in s.bits] for s in sts)
-    for cand in candidates:
-        state = RationalState(
-            table, {e: cand[i] for i, e in enumerate(table.elements)}
-        )
-        if is_state(table, state):
-            return StateSpaceSolution(dimension, state, True)
-    fallback = RationalState(
-        table, {e: particular[i] for i, e in enumerate(table.elements)}
+    for prow, rhs in pivots.values():
+        a = {local[j]: v for j, v in prow.items()}
+        for coef, b in ((a, rhs), ({j: -v for j, v in a.items()}, 1 - rhs)):
+            if sum(v for v in coef.values() if v > 0) > b:
+                rows.append((coef, b))
+    used = sorted({j for a, _ in rows for j in a})
+    rows += [({j: 1}, 1) for j in used]
+    point = _phase_one(rows, len(free))
+    feasible = point is not None
+    f = point if feasible else [Fraction(0)] * len(free)
+    values = dict(zip(free, f))
+    for p, (prow, rhs) in pivots.items():
+        values[p] = rhs - sum(v * f[local[j]] for j, v in prow.items())
+    sample = RationalState(
+        table, {e: values[i] for i, e in enumerate(table.elements)}
     )
-    return StateSpaceSolution(dimension, fallback, False)
+    return StateSpaceSolution(n - len(pivots), sample, feasible)

@@ -3,7 +3,7 @@
 import json
 
 import partlogic as P
-from partlogic.cli import Report, cli
+from partlogic.cli import Report, cli, main
 from partlogic.dot import render_dot
 from conftest import corpus_entry
 
@@ -51,6 +51,25 @@ def test_unknown_corpus_id_is_input_error():
 
 def test_missing_file_is_input_error():
     assert cli(["verify", "/nonexistent/file.txt"]).status == 2
+
+
+def test_undeclared_automaton_values_are_input_errors(tmp_path, capsys):
+    header = "states: 1 2\ninputs: t\noutputs: a b\n"
+    bad = {
+        "mealy-target": "delta: 1 t -> 9\ndelta: 2 t -> 1\n"
+        "lambda: 1 t -> a\nlambda: 2 t -> b\n",
+        "mealy-output": "delta: 1 t -> 2\ndelta: 2 t -> 1\n"
+        "lambda: 1 t -> a\nlambda: 2 t -> z\n",
+        "moore-output": "delta: 1 t -> 2\ndelta: 2 t -> 1\n"
+        "lambda: 1 -> a\nlambda: 2 -> z\n",
+    }
+    for name, body in bad.items():
+        src = tmp_path / (name + ".txt")
+        src.write_text(header + body)
+        assert main(["from-automaton", str(src)]) == 2, name
+        out, err = capsys.readouterr()
+        assert out.startswith("error: "), name
+        assert "Traceback" not in out + err, name
 
 
 def test_verify_commands():

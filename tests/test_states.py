@@ -1,5 +1,6 @@
 """Two-valued states, prime ideals, and exact state-space solving."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -249,7 +250,153 @@ def _rank_oracle_dimension(table):
     return n - coeff.rank()
 
 
+def loop_table(k, r=1):
+    """k blocks of r + 2 atoms in a cycle, neighbours sharing one atom."""
+    atoms = ["a%02d" % i for i in range(k * (r + 1))]
+    step = r + 1
+    blocks = [
+        atoms[i * step : (i + 1) * step] + [atoms[(i + 1) * step % len(atoms)]]
+        for i in range(k)
+    ]
+    return P.from_greechie(P.GreechieDiagram(atoms, blocks))
+
+
 def test_state_space_dimension_matches_rank_oracle(tables):
-    for eid in ("firefly", "fano", "fig12"):
-        t = corpus_table(eid)
-        assert P.state_space_solve(t).dimension == _rank_oracle_dimension(t), eid
+    inputs = {eid: corpus_table(eid) for eid in ("firefly", "fano", "fig12")}
+    inputs.update({"L_%d" % k: loop_table(k) for k in range(3, 9)})
+    inputs["4-atom L_5"] = loop_table(5, r=2)
+    for eid, t in inputs.items():
+        sol = P.state_space_solve(t)
+        assert sol.dimension == _rank_oracle_dimension(t), eid
+        assert sol.feasible and P.is_state(t, sol.sample), eid
+
+
+def test_fano_plus_block_has_a_state():
+    # states exist (f = 1/3, x_i = 2/9 is one) though none is two-valued
+    d = P.GreechieDiagram(
+        list("abcdefg") + ["x1", "x2", "x3"],
+        [list(line) for line in "abc ade cfe agf cgd egb bdf".split()]
+        + [["f", "x1", "x2", "x3"]],
+    )
+    t = P.from_greechie(d)
+    sol = P.state_space_solve(t)
+    assert sol.dimension == 2
+    assert sol.feasible
+    assert P.is_state(t, sol.sample)
+
+
+def test_bounds_infeasible_system_keeps_its_dimension():
+    # 1 + 1 = x forces s(x) = 2
+    t = P.FiniteQuasiOrthoalgebra(["0", "1", "x"], "0", "1", {("1", "1"): "x"})
+    sol = P.state_space_solve(t)
+    assert sol.dimension == 0
+    assert not sol.feasible
+    assert sol.sample("x") == 2
+
+
+def test_inconsistent_equalities_have_dimension_minus_one():
+    # 0 + 0 = 1 forces 0 = 1
+    t = P.FiniteQuasiOrthoalgebra(["0", "1"], "0", "1", {("0", "0"): "1"})
+    assert P.state_space_solve(t) == P.StateSpaceSolution(-1, None, False)
+
+
+def test_state_space_solve_does_not_enumerate_states(monkeypatch, wright):
+    def forbidden(table):
+        raise AssertionError("state_space_solve enumerated two-valued states")
+
+    monkeypatch.setattr(P.states, "enumerate_two_valued_states", forbidden)
+    assert P.state_space_solve(wright).feasible
+    assert P.state_space_solve(loop_table(16, r=2)).feasible
+
+
+def _numeric_oracle(table):
+    """Affine dimension (numpy rank) and feasibility (scipy HiGHS) of the
+    state equations with 0 <= s <= 1, in floating point."""
+    import numpy as np
+    from scipy.optimize import linprog
+
+    idx = table.index
+    n = len(table.elements)
+    rows = [np.eye(n)[idx(table.zero)], np.eye(n)[idx(table.one)]]
+    rhs = [0, 1]
+    for a, b, c in table.pairs():
+        r = np.zeros(n)
+        r[idx(a)] += 1
+        r[idx(b)] += 1
+        r[idx(c)] -= 1
+        rows.append(r)
+        rhs.append(0)
+    res = linprog(
+        np.zeros(n),
+        A_eq=np.array(rows),
+        b_eq=np.array(rhs),
+        bounds=[(0, 1)] * n,
+        method="highs",
+    )
+    assert res.status in (0, 2), res.message
+    return n - np.linalg.matrix_rank(np.array(rows)), res.status == 0
+
+
+def test_feasibility_matches_linprog_on_random_diagrams(monkeypatch):
+    pytest.importorskip("scipy")
+    phase_one = P.states._phase_one
+    pivoting = []
+
+    def counted(rows, nvars):
+        pivoting.append(any(b < 0 for _, b in rows))
+        return phase_one(rows, nvars)
+
+    monkeypatch.setattr(P.states, "_phase_one", counted)
+    rng = random.Random(20261017)
+    checked = 0
+    while checked < 150:
+        atoms = ["a%d" % i for i in range(rng.randint(4, 12))]
+        blocks = [
+            rng.sample(atoms, rng.randint(2, 4)) for _ in range(rng.randint(2, 10))
+        ]
+        try:
+            used = [a for a in atoms if any(a in b for b in blocks)]
+            t = P.from_greechie(P.GreechieDiagram(used, blocks))
+        except P.LogicError:
+            continue
+        checked += 1
+        sol = P.state_space_solve(t)
+        if sol.dimension < 0:
+            assert not sol.feasible
+            continue
+        assert (sol.dimension, sol.feasible) == _numeric_oracle(t), blocks
+        if sol.feasible:
+            assert P.is_state(t, sol.sample), blocks
+    # the sample must exercise the simplex, not only the free-at-0 point
+    assert sum(pivoting) >= 10
+
+
+def test_phase_one_matches_linprog_on_random_systems():
+    pytest.importorskip("scipy")
+    import numpy as np
+    from scipy.optimize import linprog
+
+    rng = random.Random(5)
+    outcomes = set()
+    for _ in range(300):
+        nvars = rng.randint(1, 4)
+        rows = []
+        for _ in range(rng.randint(1, 6)):
+            a = {j: rng.randint(-3, 3) for j in range(nvars) if rng.random() < 0.7}
+            rows.append((a, rng.randint(-4, 4)))
+        x = P.states._phase_one(rows, nvars)
+        dense = np.array([[a.get(j, 0) for j in range(nvars)] for a, _ in rows])
+        res = linprog(
+            np.zeros(nvars),
+            A_ub=dense,
+            b_ub=np.array([b for _, b in rows]),
+            bounds=[(0, None)] * nvars,
+            method="highs",
+        )
+        assert (x is not None) == (res.status == 0), rows
+        if x is not None:
+            assert all(v >= 0 and isinstance(v, Fraction) for v in x)
+            for a, b in rows:
+                assert sum(c * x[j] for j, c in a.items()) <= b
+        outcomes.add(x is not None)
+    assert outcomes == {True, False}
