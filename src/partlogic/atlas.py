@@ -8,10 +8,13 @@ from .oa import (
     AxiomReport,
     FiniteQuasiOrthoalgebra,
     Violation,
+    block_sums,
     blocks,
     boolean_atoms,
     format_label,
     label_key,
+    subset_unions,
+    subsets,
 )
 
 ATLAS_AXIOMS = (
@@ -54,13 +57,7 @@ class BooleanChart:
     def from_cells(cls, cells):
         """Chart generated by disjoint point-set cells; labels are unions."""
         cells = [frozenset(c) for c in cells]
-        label = {}
-        for r in range(len(cells) + 1):
-            for combo in itertools.combinations(cells, r):
-                u = frozenset().union(*combo) if combo else frozenset()
-                label[frozenset(combo)] = u
-        chart = cls(cells, label)
-        return chart
+        return cls(cells, zip(subsets(cells), subset_unions(cells)))
 
     @property
     def zero(self):
@@ -174,19 +171,22 @@ def atlas_to_quasi_oa(atlas):
     elements = sorted(atlas.labels(), key=label_key)
     zero = atlas.charts[0].zero
     one = atlas.charts[0].one
-    oplus = {}
-    for chart in atlas.charts:
-        for a, b in itertools.product(chart.members(), repeat=2):
-            if chart.meet(a, b) != chart.zero:
-                continue
-            value = chart.join(a, b)
-            prev = oplus.get((a, b))
-            if prev is not None and prev != value:
-                raise StructureError(
-                    "charts disagree on %s + %s"
-                    % (format_label(a), format_label(b))
-                )
-            oplus[(a, b)] = value
+    pieces = [[c.label[s] for s in subsets(c.atoms)] for c in atlas.charts]
+    oplus, clash = block_sums(pieces)
+    if clash is not None:
+        # name the chart's first disagreement in its member order
+        i = clash[0]
+        before, _ = block_sums(pieces[:i])
+        chart = atlas.charts[i]
+        a, b = next(
+            (a, b)
+            for a, b in itertools.product(chart.members(), repeat=2)
+            if chart.meet(a, b) == chart.zero
+            and before.get((a, b), chart.join(a, b)) != chart.join(a, b)
+        )
+        raise StructureError(
+            "charts disagree on %s + %s" % (format_label(a), format_label(b))
+        )
     return FiniteQuasiOrthoalgebra(elements, zero, one, oplus)
 
 

@@ -256,10 +256,6 @@ def parse_any(text):
     return kind, parse(kind, text)
 
 
-def _fmt_cell(cell):
-    return " ".join(sorted(cell, key=str))
-
-
 def _fmt_partition(cells):
     ordered = sorted((sorted(c, key=str) for c in cells), key=tuple)
     return " | ".join(" ".join(c) for c in ordered)

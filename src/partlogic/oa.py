@@ -5,6 +5,7 @@ commutative sum.  Everything here is exhaustive and deterministic: scans run
 in element-index order and results are reported in that order.
 """
 
+import functools
 import itertools
 from collections import defaultdict
 from dataclasses import dataclass
@@ -21,10 +22,15 @@ def format_label(label):
     return str(label)
 
 
+def cell_key(cell):
+    """Canonical sort key of a point set: its points' labels in order."""
+    return tuple(sorted(str(p) for p in cell))
+
+
 def label_key(label):
     """Deterministic sort key for element labels."""
     if isinstance(label, frozenset):
-        return (1, len(label), tuple(sorted(str(p) for p in label)))
+        return (1, len(label), cell_key(label))
     return (0, 0, (str(label),))
 
 
@@ -284,17 +290,6 @@ def leq(table, a, b):
     return (a, b) in table.le_pairs()
 
 
-def upper_set(table, a):
-    """Elements above a, in index order."""
-    le = table.le_pairs()
-    return [b for b in table.elements if (a, b) in le]
-
-
-def lower_set(table, a):
-    le = table.le_pairs()
-    return [b for b in table.elements if (b, a) in le]
-
-
 def order_transitivity_counterexample(table):
     """First (a, b, c) with a <= b <= c but not a <= c, or None."""
     le = table.le_pairs()
@@ -506,6 +501,79 @@ def mackey_decompositions(table, a, b):
 
 
 # ---------------------------------------------------------------------------
+# pastings of Boolean blocks
+
+
+class UnionFind:
+    """Disjoint sets over hashable items; an item joins on first mention."""
+
+    def __init__(self):
+        self.parent = {}
+
+    def find(self, x):
+        parent = self.parent
+        root = parent.setdefault(x, x)
+        while parent[root] != root:
+            root = parent[root]
+        while parent[x] != root:
+            parent[x], x = root, parent[x]
+        return root
+
+    def union(self, x, y):
+        rx, ry = self.find(x), self.find(y)
+        if rx != ry:
+            self.parent[rx] = ry
+
+
+def subset_unions(sets):
+    """The unions of all subsets of `sets`, listed by bitmask (bit i: sets[i])."""
+    unions = [frozenset()]
+    for s in sets:
+        unions += [u | s for u in unions]
+    return unions
+
+
+def subsets(items):
+    """All subsets of `items` as frozensets, listed by bitmask (bit i: items[i])."""
+    return subset_unions([frozenset([x]) for x in items])
+
+
+@functools.cache
+def _splits(k):
+    """Disjoint mask triples (left, right, left | right) over k atoms.
+
+    Atom i is bit i.  The order is that of product((0, 1, 2), repeat=k),
+    with 1 sending the atom left and 2 sending it right.
+    """
+    out = []
+    for split in itertools.product((0, 1, 2), repeat=k):
+        left = sum(1 << i for i, s in enumerate(split) if s == 1)
+        right = sum(1 << i for i, s in enumerate(split) if s == 2)
+        out.append((left, right, left | right))
+    return tuple(out)
+
+
+def block_sums(pieces):
+    """The sum table of a pasting of Boolean blocks.
+
+    Each piece lists one block's 2^k elements by bitmask over its k atoms;
+    a + b = c is glued for every pair of disjoint masks, block by block in
+    `_splits` order.  Returns (oplus, clash): clash is None, or (i, a, b)
+    for the first pair, met in piece i, whose sum differs from the one
+    already glued; oplus is then built up to that pair.
+    """
+    oplus = {}
+    for i, elems in enumerate(pieces):
+        for left, right, both in _splits(len(elems).bit_length() - 1):
+            a, b, c = elems[left], elems[right], elems[both]
+            prev = oplus.get((a, b))
+            if prev is not None and prev != c:
+                return oplus, (i, a, b)
+            oplus[(a, b)] = c
+    return oplus, None
+
+
+# ---------------------------------------------------------------------------
 # Greechie diagrams and their pasting
 
 
@@ -554,132 +622,77 @@ class GreechieDiagram:
 def from_greechie(diagram):
     """Paste a diagram's block algebras into one quasi-orthoalgebra.
 
-    Nodes (block, atom subset) are identified by the closure of: equal
-    subsets of shared atoms, all empty sets, all full sets, and complements
-    of identified nodes.  The sum glues within each block.
+    Nodes (block, atom subset) are identified by the equivalence generated
+    by equal subsets of shared atoms and by their complements in the two
+    blocks (the empty and the full sets among them).  Complementing maps
+    these generators onto each other, so every class's complement is a
+    class.  The sum glues within each block.
     """
     blk_atoms = [frozenset(b) for b in diagram.blocks]
-    nodes = []
-    for bi, blk in enumerate(diagram.blocks):
-        for r in range(len(blk) + 1):
-            for combo in itertools.combinations(blk, r):
-                nodes.append((bi, frozenset(combo)))
-
-    parent = {n: n for n in nodes}
-
-    def find(n):
-        root = n
-        while parent[root] != root:
-            root = parent[root]
-        while parent[n] != root:
-            parent[n], n = root, parent[n]
-        return root
-
-    def union(x, y):
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[rx] = ry
-            return True
-        return False
-
+    classes = UnionFind()
     for i, j in itertools.combinations(range(len(blk_atoms)), 2):
-        shared = sorted(blk_atoms[i] & blk_atoms[j], key=str)
-        for r in range(len(shared) + 1):
-            for combo in itertools.combinations(shared, r):
-                union((i, frozenset(combo)), (j, frozenset(combo)))
-        union((i, blk_atoms[i]), (j, blk_atoms[j]))
+        for shared in subsets(blk_atoms[i] & blk_atoms[j]):
+            classes.union((i, shared), (j, shared))
+            classes.union((i, blk_atoms[i] - shared), (j, blk_atoms[j] - shared))
+    find = classes.find
 
     def comp_node(n):
         bi, subset = n
         return (bi, blk_atoms[bi] - subset)
 
-    changed = True
-    while changed:
-        changed = False
-        groups = defaultdict(list)
-        for n in nodes:
-            groups[find(n)].append(n)
-        for members in groups.values():
-            first = comp_node(members[0])
-            for other in members[1:]:
-                if union(comp_node(other), first):
-                    changed = True
-
-    groups = defaultdict(list)
-    for n in nodes:
-        groups[find(n)].append(n)
+    # classes are met in node order (block, subset size, atom order); of
+    # two complementary unnamed classes the first met gets the plain label
+    nodes = [
+        (bi, frozenset(combo))
+        for bi, blk in enumerate(diagram.blocks)
+        for r in range(len(blk) + 1)
+        for combo in itertools.combinations(blk, r)
+    ]
     zero_root = find((0, frozenset()))
     one_root = find((0, blk_atoms[0]))
     if zero_root == one_root:
         raise PastingError("pasting identifies 0 with 1")
+    if any(find(n) == find(comp_node(n)) for n in nodes):
+        raise PastingError("pasting identifies a class with its own complement")
+
+    groups = defaultdict(list)
+    for n in nodes:
+        groups[find(n)].append(n)
+    reps = {
+        root: min(members, key=lambda n: (len(n[1]), cell_key(n[1]), n[0]))
+        for root, members in groups.items()
+    }
+    labels = {zero_root: "0", one_root: "1"}
     for root, members in groups.items():
-        if find(comp_node(members[0])) == root and root not in (zero_root,):
-            raise PastingError(
-                "pasting identifies a class with its own complement"
-            )
-
-    def canonical(members):
-        return min(
-            members, key=lambda n: (len(n[1]), tuple(sorted(map(str, n[1]))), n[0])
-        )
-
-    reps = {root: canonical(members) for root, members in groups.items()}
-    comp_root = {root: find(comp_node(reps[root])) for root in groups}
-
-    labels = {}
-    for root, members in groups.items():
-        if root == zero_root:
-            labels[root] = "0"
-        elif root == one_root:
-            labels[root] = "1"
-        else:
-            singles = sorted(str(next(iter(n[1]))) for n in members if len(n[1]) == 1)
-            if singles:
-                labels[root] = singles[0]
-            else:
-                labels[root] = None
+        if root not in labels:
+            singles = [str(a) for _, s in members if len(s) == 1 for a in s]
+            labels[root] = min(singles, default=None)
     for root in groups:
         if labels[root] is None:
-            comp_label = labels[comp_root[root]]
+            comp_label = labels[find(comp_node(reps[root]))]
             if comp_label not in (None, "0", "1") and "'" not in comp_label:
                 labels[root] = comp_label + "'"
             else:
-                rep = reps[root]
-                labels[root] = "+".join(sorted(map(str, rep[1])))
+                labels[root] = "+".join(cell_key(reps[root][1]))
     if len(set(labels.values())) != len(labels):
         raise PastingError("pasting produced colliding element labels")
 
-    def order_key(root):
-        rep = reps[root]
-        if root == zero_root:
-            tier = 0
-        elif root == one_root:
-            tier = 3
-        elif len(rep[1]) == 1:
-            tier = 1
-        else:
-            tier = 2
-        return (tier, len(rep[1]), labels[root])
-
-    roots = sorted(groups, key=order_key)
-    element_of = {root: labels[root] for root in roots}
-    elements = [element_of[root] for root in roots]
-
-    oplus = {}
-    for bi, blk in enumerate(diagram.blocks):
-        for split in itertools.product((0, 1, 2), repeat=len(blk)):
-            left = frozenset(a for a, s in zip(blk, split) if s == 1)
-            right = frozenset(a for a, s in zip(blk, split) if s == 2)
-            a = element_of[find((bi, left))]
-            b = element_of[find((bi, right))]
-            c = element_of[find((bi, left | right))]
-            prev = oplus.get((a, b))
-            if prev is not None and prev != c:
-                raise PastingError(
-                    "inconsistent sums %s + %s" % (format_label(a), format_label(b))
-                )
-            oplus[(a, b)] = c
-
+    # 0 is the only class of empty sets and 1 holds only full blocks, so
+    # this sorts 0, the atoms, the larger classes, then 1
+    roots = sorted(
+        groups,
+        key=lambda root: (root == one_root, len(reps[root][1]), labels[root]),
+    )
+    pieces = [
+        [labels[find((bi, subset))] for subset in subsets(blk)]
+        for bi, blk in enumerate(diagram.blocks)
+    ]
+    oplus, clash = block_sums(pieces)
+    if clash is not None:
+        _, a, b = clash
+        raise PastingError(
+            "inconsistent sums %s + %s" % (format_label(a), format_label(b))
+        )
     return FiniteQuasiOrthoalgebra(
-        elements, element_of[zero_root], element_of[one_root], oplus
+        [labels[root] for root in roots], "0", "1", oplus
     )

@@ -1,10 +1,15 @@
 """Partition logics, urn models, their pastings, and logic isomorphism."""
 
-import itertools
 from collections import defaultdict
 
 from .errors import PrimenessError, StructureError
-from .oa import FiniteQuasiOrthoalgebra, format_label
+from .oa import (
+    FiniteQuasiOrthoalgebra,
+    block_sums,
+    cell_key,
+    format_label,
+    subset_unions,
+)
 from .states import TwoValuedState, is_prime
 
 
@@ -83,16 +88,6 @@ class Isomorphism:
         return "Isomorphism(%d elements)" % len(self.mapping)
 
 
-def _cell_union_algebra(cells):
-    """All unions of subsets of the given cells."""
-    out = set()
-    for r in range(len(cells) + 1):
-        for combo in itertools.combinations(cells, r):
-            u = frozenset().union(*combo) if combo else frozenset()
-            out.add(u)
-    return out
-
-
 def pasting_to_oa(pl):
     """Paste a partition logic into a table over canonical point sets.
 
@@ -100,21 +95,11 @@ def pasting_to_oa(pl):
     and b are disjoint cell-unions of one common partition, with value the
     plain union.
     """
-    algebras = [_cell_union_algebra(p) for p in pl.partitions]
-    elements = set().union(*algebras)
-    ordered = sorted(
-        elements, key=lambda s: (len(s), tuple(sorted(str(p) for p in s)))
-    )
-    oplus = {}
-    for cells, algebra in zip(pl.partitions, algebras):
-        for split in itertools.product((0, 1, 2), repeat=len(cells)):
-            left = [c for c, s in zip(cells, split) if s == 1]
-            right = [c for c, s in zip(cells, split) if s == 2]
-            a = frozenset().union(*left) if left else frozenset()
-            b = frozenset().union(*right) if right else frozenset()
-            oplus[(a, b)] = a | b
+    pieces = [subset_unions(cells) for cells in pl.partitions]
+    elements = sorted(set().union(*pieces), key=lambda s: (len(s), cell_key(s)))
+    oplus, _ = block_sums(pieces)
     return FiniteQuasiOrthoalgebra(
-        ordered, frozenset(), frozenset(pl.ground), oplus
+        elements, frozenset(), frozenset(pl.ground), oplus
     )
 
 
@@ -134,23 +119,20 @@ def oa_to_partition_logic(table):
             pair=primeness.inseparable,
         )
     sts = primeness.separating
-    names = {s: "p%d" % (i + 1) for i, s in enumerate(sts)}
-
-    def support(x):
-        # the states valuing x at 1, i.e. the prime ideals omitting x
-        return frozenset(names[s] for s in sts if s(x) == 1)
+    names = ["p%d" % (k + 1) for k in range(len(sts))]
+    # the states valuing x at 1, i.e. the prime ideals omitting x
+    support = {
+        x: frozenset(name for name, s in zip(names, sts) if s.bits[i])
+        for i, x in enumerate(table.elements)
+    }
 
     partitions = []
     for x, y, s in table.pairs():
         rest = table.complement(s)
-        cells = []
-        for z in (x, y, rest):
-            cell = support(z)
-            if cell:
-                cells.append(cell)
+        cells = [support[z] for z in (x, y, rest) if support[z]]
         if cells:
             partitions.append(cells)
-    return PartitionLogic([names[s] for s in sts], partitions)
+    return PartitionLogic(names, partitions)
 
 
 def urn_to_partition_logic(urn):

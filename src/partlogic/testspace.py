@@ -22,13 +22,17 @@ from fractions import Fraction
 
 from .atlas import PropertyCheck
 from .errors import AlgebraicityError, SeparationError, StructureError
-from .oa import AxiomReport, FiniteQuasiOrthoalgebra, Violation, format_label
+from .oa import (
+    AxiomReport,
+    FiniteQuasiOrthoalgebra,
+    UnionFind,
+    Violation,
+    block_sums,
+    cell_key,
+    format_label,
+    subsets,
+)
 from .partition import PartitionLogic
-
-
-def _cell_key(cell):
-    """Canonical sort key of a cell: its points' labels in order."""
-    return tuple(sorted(str(p) for p in cell))
 
 
 def _bits(mask):
@@ -176,7 +180,7 @@ class PartitionTestSpace:
 
     def as_test_space(self):
         """Reinterpret with outcome set Y = cells."""
-        ordered = sorted(self.cells, key=_cell_key)
+        ordered = sorted(self.cells, key=cell_key)
         return TestSpace(ordered, self.tests)
 
     def __repr__(self):
@@ -257,52 +261,35 @@ def pi_logic(ts):
         raise AlgebraicityError(
             "test space is not algebraic", witness=check.witness
         )
+    # the events t - h over the tests t containing an event h share the
+    # local complement h, so they are perspective; each test's events are
+    # listed by bitmask, so reversing the list pairs h with t - h
+    classes = UnionFind()
+    subevents = {t: subsets(sorted(t, key=ts._key)) for t in ts.tests}
+    first = {}
+    for inside in subevents.values():
+        for h, rest in zip(inside, reversed(inside)):
+            classes.union(rest, first.setdefault(h, rest))
+
+    # events ascend by event_key, so each class meets its smallest first
     events = ts.events()
-    locs = {e: ts.local_complements(e) for e in events}
-
-    parent = {e: e for e in events}
-
-    def find(e):
-        root = e
-        while parent[root] != root:
-            root = parent[root]
-        while parent[e] != root:
-            parent[e], e = root, parent[e]
-        return root
-
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-
-    for e, f in itertools.combinations(events, 2):
-        if locs[e] & locs[f]:
-            union(e, f)
-
-    classes = {}
+    rep = {}
     for e in events:
-        classes.setdefault(find(e), []).append(e)
-    rep = {
-        root: min(members, key=ts.event_key)
-        for root, members in classes.items()
-    }
-    label = {e: rep[find(e)] for e in events}
+        rep.setdefault(classes.find(e), e)
+    label = {e: rep[classes.find(e)] for e in events}
 
-    elements = sorted(set(label.values()), key=ts.event_key)
+    elements = sorted(rep.values(), key=ts.event_key)
     zero = label[frozenset()]
     one = label[min(ts.tests, key=ts.event_key)]
-    oplus = {}
-    for e, f in itertools.product(events, repeat=2):
-        if e & f or not any(e | f <= t for t in ts.tests):
-            continue
-        a, b, c = label[e], label[f], label[e | f]
-        prev = oplus.get((a, b))
-        if prev is not None and prev != c:
-            raise AlgebraicityError(
-                "sum of classes %s + %s is not well-defined"
-                % (format_label(a), format_label(b))
-            )
-        oplus[(a, b)] = c
+    oplus, clash = block_sums(
+        [[label[e] for e in inside] for inside in subevents.values()]
+    )
+    if clash is not None:
+        _, a, b = clash
+        raise AlgebraicityError(
+            "sum of classes %s + %s is not well-defined"
+            % (format_label(a), format_label(b))
+        )
     return FiniteQuasiOrthoalgebra(elements, zero, one, oplus)
 
 
@@ -406,11 +393,11 @@ def _partitions(pts):
     """All partitions of the base composed of declared cells.
 
     They come in depth-first order: each cover's cells sorted by their least
-    label, compared cell by cell on `_cell_key`.
+    label, compared cell by cell on `cell_key`.
     """
     bit = {p: 1 << i for i, p in enumerate(pts.base)}
     rows = [sum(bit[p] for p in c) for c in pts.cells]
-    keys = [_cell_key(c) for c in pts.cells]
+    keys = [cell_key(c) for c in pts.cells]
     covers = sorted(
         _exact_covers(len(pts.base), rows),
         key=lambda cover: sorted(keys[r] for r in cover),
@@ -436,7 +423,7 @@ def is_complete(pts):
 
 def pts_to_partition_logic(pts):
     """Tests become partitions of the base; cell order is canonical."""
-    partitions = [sorted(t, key=_cell_key) for t in pts.tests]
+    partitions = [sorted(t, key=cell_key) for t in pts.tests]
     return PartitionLogic(pts.base, partitions)
 
 

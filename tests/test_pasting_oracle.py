@@ -1,0 +1,212 @@
+"""The shared pasting builder agrees with the builders it replaced.
+
+`pasting_oracle` holds verbatim copies of the old `from_greechie`,
+`pasting_to_oa`, `BooleanChart.from_cells`, `atlas_to_quasi_oa` and
+`pi_logic`.  On seeded random diagrams, partition logics, atlases and test
+spaces the new code must build the same elements, 0, 1 and sum table, or
+raise the same exception type with the same message.
+"""
+
+import itertools
+import random
+from collections import Counter
+
+import pasting_oracle as old
+import partlogic as P
+
+SEED = 20261018
+
+
+def outcome(build, arg):
+    try:
+        t = build(arg)
+    except P.LogicError as exc:
+        return type(exc), str(exc), getattr(exc, "witness", None)
+    return t.elements, t.zero, t.one, t.table
+
+
+def agree(name, arg):
+    """Compare the old and new builder on one input; returns the outcome."""
+    want = outcome(getattr(old, name), arg)
+    got = outcome(getattr(P, name), arg)
+    assert got == want, (name, arg)
+    return want
+
+
+def random_diagram(rng):
+    """A small diagram of 2- to 4-atom blocks, or None if it is malformed.
+
+    Now and then an atom takes a name the pasting reserves for other
+    elements, so that labels collide.
+    """
+    atoms = ["a%d" % i for i in range(rng.randint(3, 8))]
+    if rng.random() < 0.05:
+        atoms[0] = rng.choice(["0", "1", "a1'"])
+    blocks = [
+        rng.sample(atoms, rng.randint(2, min(4, len(atoms))))
+        for _ in range(rng.randint(1, 5))
+    ]
+    used = [a for a in atoms if any(a in b for b in blocks)]
+    try:
+        return P.GreechieDiagram(used, blocks)
+    except P.StructureError:
+        return None
+
+
+def loop_diagram(k):
+    """k three-atom blocks in a ring, neighbours sharing one atom."""
+    atoms = ["x%d" % i for i in range(2 * k)]
+    blocks = [
+        (atoms[2 * i], atoms[2 * i + 1], atoms[(2 * i + 2) % (2 * k)])
+        for i in range(k)
+    ]
+    return P.GreechieDiagram(atoms, blocks)
+
+
+def random_diagrams(seed, want):
+    rng = random.Random(seed)
+    out = []
+    while len(out) < want:
+        d = random_diagram(rng)
+        if d is not None:
+            out.append(d)
+    return out
+
+
+def random_partition_logic(rng):
+    ground = ["p%d" % i for i in range(rng.randint(1, 6))]
+    partitions = []
+    for _ in range(rng.randint(1, 4)):
+        points = ground[:]
+        rng.shuffle(points)
+        cells = []
+        while points:
+            k = rng.randint(1, len(points))
+            cells.append(points[:k])
+            points = points[k:]
+        partitions.append(cells)
+    return P.PartitionLogic(ground, partitions)
+
+
+def max_shared(diagram):
+    sets = [set(b) for b in diagram.blocks]
+    return max(
+        (len(s & t) for s, t in itertools.combinations(sets, 2)), default=0
+    )
+
+
+def test_from_greechie_matches_old_builder():
+    diagrams = random_diagrams(SEED, 2000)
+    diagrams += [loop_diagram(k) for k in range(2, 9)]
+    diagrams += [e.payload for e in P.corpus() if e.kind == "greechie"]
+    texts = Counter()
+    multi_shared_ok = 0
+    for d in diagrams:
+        res = agree("from_greechie", d)
+        ok = isinstance(res[0], tuple)
+        texts["ok" if ok else res[1]] += 1
+        multi_shared_ok += ok and max_shared(d) >= 2
+    # every error of the old builder that a well-formed diagram can reach
+    # is exercised, the witnessed one included ("0 with 1" would need one
+    # block inside another)
+    assert texts["pasting identifies a class with its own complement"]
+    assert texts["pasting produced colliding element labels"]
+    assert sum(t.startswith("inconsistent sums ") for t in texts) >= 5
+    assert texts["ok"] >= 500
+    assert multi_shared_ok >= 50
+
+
+def test_pasting_to_oa_matches_old_builder():
+    rng = random.Random(SEED + 1)
+    logics = [random_partition_logic(rng) for _ in range(800)]
+    logics += [e.payload for e in P.corpus() if e.kind == "partition_logic"]
+    logics += [
+        P.urn_to_partition_logic(e.payload) for e in P.corpus() if e.kind == "urn"
+    ]
+    for pl in logics:
+        assert isinstance(agree("pasting_to_oa", pl)[0], tuple)
+
+
+def random_labelled_atlas(rng):
+    """Charts over shared atom names whose other labels come from a small pool.
+
+    Two charts holding the same orthogonal pair often name its join
+    differently, which the table builder must reject.
+    """
+    charts = []
+    for _ in range(rng.randint(1, 4)):
+        atoms = rng.sample("abcde", rng.randint(1, 3))
+        pool = iter(rng.sample(["u", "v", "w", "x", "y", "z"], 6))
+        label = {}
+        for r in range(len(atoms) + 1):
+            for combo in itertools.combinations(atoms, r):
+                if r == 0:
+                    label[frozenset()] = "0"
+                elif r == len(atoms):
+                    label[frozenset(combo)] = "1"
+                elif r == 1:
+                    label[frozenset(combo)] = combo[0]
+                else:
+                    label[frozenset(combo)] = next(pool)
+        charts.append(P.BooleanChart(atoms, label))
+    return P.BooleanAtlas(charts)
+
+
+def test_from_cells_matches_old_builder():
+    rng = random.Random(SEED + 2)
+    for _ in range(300):
+        cells = random_partition_logic(rng).partitions[0]
+        new = P.BooleanChart.from_cells(cells)
+        ref = old.from_cells(P.BooleanChart, cells)
+        assert (new.atoms, new.label) == (ref.atoms, ref.label)
+
+
+def test_atlas_to_quasi_oa_matches_old_builder():
+    rng = random.Random(SEED + 3)
+    atlases = []
+    for _ in range(400):
+        pl = random_partition_logic(rng)
+        atlases.append(
+            P.BooleanAtlas([P.BooleanChart.from_cells(p) for p in pl.partitions])
+        )
+    for d in random_diagrams(SEED + 4, 120):
+        try:
+            atlases.append(P.quasi_oa_to_atlas(P.from_greechie(d)))
+        except P.LogicError:
+            continue
+    atlases += [random_labelled_atlas(rng) for _ in range(1500)]
+    atlases += [e.payload for e in P.corpus() if e.kind == "atlas"]
+    kinds = Counter()
+    for atlas in atlases:
+        res = agree("atlas_to_quasi_oa", atlas)
+        kinds["ok" if isinstance(res[0], tuple) else res[1][:19]] += 1
+    assert kinds["ok"] >= 500
+    assert kinds["charts disagree on "] >= 50
+
+
+def random_test_space(rng):
+    outcomes = ["o%d" % i for i in range(rng.randint(1, 7))]
+    tests = [
+        rng.sample(outcomes, rng.randint(1, min(4, len(outcomes))))
+        for _ in range(rng.randint(1, 5))
+    ]
+    return P.TestSpace(outcomes, tests)
+
+
+def test_pi_logic_matches_old_builder():
+    rng = random.Random(SEED + 5)
+    spaces = [random_test_space(rng) for _ in range(600)]
+    spaces += [P.TestSpace.from_greechie(d) for d in random_diagrams(SEED + 6, 300)]
+    spaces += [P.TestSpace.from_greechie(loop_diagram(k)) for k in range(2, 7)]
+    for _ in range(300):
+        pl = random_partition_logic(rng)
+        spaces.append(P.partition_logic_to_pts(pl).as_test_space())
+    spaces += [
+        e.payload.as_test_space() for e in P.corpus() if e.kind == "test_space"
+    ]
+    kinds = Counter()
+    for ts in spaces:
+        res = agree("pi_logic", ts)
+        kinds["ok" if isinstance(res[0], tuple) else res[1]] += 1
+    assert kinds["ok"] >= 300
+    assert kinds["test space is not algebraic"] >= 100
