@@ -107,11 +107,7 @@ def experiment_partition(machine, word):
     groups = {}
     for q in machine.states:
         groups.setdefault(run(machine, q, word), []).append(q)
-    cells = sorted(
-        (frozenset(g) for g in groups.values()),
-        key=lambda cell: min(machine.states.index(q) for q in cell),
-    )
-    return tuple(cells)
+    return tuple(frozenset(g) for g in groups.values())
 
 
 def _words(inputs, max_len):

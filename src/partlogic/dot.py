@@ -5,9 +5,10 @@ from .oa import (
     FiniteQuasiOrthoalgebra,
     GreechieDiagram,
     blocks,
-    boolean_atoms,
     format_label,
     from_greechie,
+    hasse_covers,
+    minimal_nonzero,
     verify_quasi_oa,
 )
 
@@ -43,29 +44,11 @@ def _greechie_dot(atom_blocks):
     return "\n".join(lines) + "\n"
 
 
-def _covers(table):
-    le = table.le_pairs()
-    strict = {(a, b) for (a, b) in le if a != b and (b, a) not in le}
-    out = []
-    for a in table.elements:
-        for b in table.elements:
-            if (a, b) not in strict:
-                continue
-            if any(
-                (a, c) in strict and (c, b) in strict
-                for c in table.elements
-                if c != a and c != b
-            ):
-                continue
-            out.append((a, b))
-    return out
-
-
 def _hasse_dot(table):
     lines = ["digraph hasse {", "  rankdir=BT;", "  node [shape=plaintext];"]
     for e in table.elements:
         lines.append("  %s;" % _quote(e))
-    for a, b in _covers(table):
+    for a, b in hasse_covers(table):
         lines.append("  %s -> %s;" % (_quote(a), _quote(b)))
     lines.append("}")
     return "\n".join(lines) + "\n"
@@ -92,8 +75,5 @@ def render_dot(structure, style):
         )
     if style == "hasse":
         return _hasse_dot(structure)
-    atom_blocks = []
-    for blk in blocks(structure):
-        structure_atoms = boolean_atoms(structure, frozenset(blk))
-        atom_blocks.append(structure_atoms[0])
+    atom_blocks = [minimal_nonzero(structure, blk) for blk in blocks(structure)]
     return _greechie_dot(atom_blocks)

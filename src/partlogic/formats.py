@@ -49,12 +49,16 @@ def _lines(text):
 
 def detect_kind(text):
     """Infer the structure kind from the first keyword line."""
-    no, key, _rest = _lines(text)[0]
+    return _kind(_lines(text))
+
+
+def _kind(lines):
+    no, key, _rest = lines[0]
     kind = _LEAD.get(key)
     if kind is None:
         raise ParseError("unknown leading keyword %r" % key, line=no)
     if kind == "automaton":
-        for _no, k, rest in _lines(text):
+        for _no, k, rest in lines:
             if k == "lambda":
                 left = rest.split("->", 1)[0]
                 return "moore" if len(left.split()) == 1 else "mealy"
@@ -252,8 +256,9 @@ def parse(kind, text):
 
 def parse_any(text):
     """Detect the kind from the text, then parse; returns (kind, structure)."""
-    kind = detect_kind(text)
-    return kind, parse(kind, text)
+    lines = _lines(text)
+    kind = _kind(lines)
+    return kind, _PARSERS[kind](lines)
 
 
 def _fmt_partition(cells):

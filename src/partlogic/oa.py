@@ -34,6 +34,14 @@ def label_key(label):
     return (0, 0, (str(label),))
 
 
+def bits(mask):
+    """Indices of the set bits of mask, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 @dataclass(frozen=True)
 class Violation:
     axiom: str
@@ -71,8 +79,7 @@ class FiniteQuasiOrthoalgebra:
         self.table = dict(oplus)
         self._index = {e: i for i, e in enumerate(self.elements)}
         self._sums_from = None
-        self._comp = None
-        self._le = None
+        self._masks = None
 
     def __len__(self):
         return len(self.elements)
@@ -98,46 +105,54 @@ class FiniteQuasiOrthoalgebra:
             self._sums_from = dict(by_first)
         return self._sums_from.get(a, {})
 
+    def _kernel(self):
+        """Per-element int bitmasks (partners, complements, up, down), built once.
+
+        Bit j of partners[i]: e_i + e_j is defined; of complements[i]: it is
+        1; of up[i], and bit i of down[j]: e_i <= e_j, i.e. e_i + c = e_j for
+        some c.  Labels that are not elements set no bit.
+        """
+        if self._masks is None:
+            index, n = self._index, len(self.elements)
+            partners, comps, up, down = [0] * n, [0] * n, [0] * n, [0] * n
+            for (a, b), c in self.table.items():
+                i, j, k = index.get(a), index.get(b), index.get(c)
+                if i is not None and j is not None:
+                    partners[i] |= 1 << j
+                    if c == self.one:
+                        comps[i] |= 1 << j
+                if i is not None and k is not None:
+                    up[i] |= 1 << k
+                    down[k] |= 1 << i
+            self._masks = (partners, comps, up, down)
+        return self._masks
+
     def partners(self, a):
         """Partners of a in element-index order."""
-        row = self.sums_from(a)
-        return [b for b in self.elements if b in row]
+        partners = self._kernel()[0][self._index[a]]
+        return [self.elements[j] for j in bits(partners)]
 
     def complements(self, a):
         """All b with a + b = 1, in element-index order."""
-        row = self.sums_from(a)
-        return [b for b in self.elements if row.get(b) == self.one]
+        comps = self._kernel()[1][self._index[a]]
+        return [self.elements[j] for j in bits(comps)]
 
     def complement(self, a):
         """The unique orthocomplement; raises when it is not unique."""
-        if self._comp is None:
-            self._comp = {}
-        if a not in self._comp:
-            cs = self.complements(a)
-            if len(cs) != 1:
-                raise AxiomViolationError(
-                    "oaiii",
-                    "%s has %d complements" % (format_label(a), len(cs)),
-                )
-            self._comp[a] = cs[0]
-        return self._comp[a]
-
-    def le_pairs(self):
-        """The relation a <= b (some c with a + c = b), as a set of pairs."""
-        if self._le is None:
-            le = set()
-            for (a, _c), b in self.table.items():
-                le.add((a, b))
-            self._le = frozenset(le)
-        return self._le
+        cs = self.complements(a)
+        if len(cs) != 1:
+            raise AxiomViolationError(
+                "oaiii",
+                "%s has %d complements" % (format_label(a), len(cs)),
+            )
+        return cs[0]
 
     def pairs(self):
         """Defined sum pairs in element-index order."""
         for a in self.elements:
             row = self.sums_from(a)
-            for b in self.elements:
-                if b in row:
-                    yield a, b, row[b]
+            for b in self.partners(a):
+                yield a, b, row[b]
 
 
 def structural_check(table):
@@ -220,15 +235,11 @@ def _assoc_violation(table):
     # oavii: a+b and (a+b)+c defined force b+c and a+(b+c), all equal
     for a in table.elements:
         row_a = table.sums_from(a)
-        for b in table.elements:
-            if b not in row_a:
-                continue
+        for b in table.partners(a):
             ab = row_a[b]
             row_ab = table.sums_from(ab)
             row_b = table.sums_from(b)
-            for c in table.elements:
-                if c not in row_ab:
-                    continue
+            for c in table.partners(ab):
                 if c not in row_b or row_a.get(row_b[c]) != row_ab[c]:
                     return Violation("oavii", (a, b, c))
     return None
@@ -287,30 +298,52 @@ def orthocomplement(table, a):
 
 def leq(table, a, b):
     """a <= b iff some c has a + c = b."""
-    return (a, b) in table.le_pairs()
+    up = table._kernel()[2]
+    return bool(up[table.index(a)] >> table.index(b) & 1)
 
 
 def order_transitivity_counterexample(table):
     """First (a, b, c) with a <= b <= c but not a <= c, or None."""
-    le = table.le_pairs()
-    for a in table.elements:
-        ups_a = [b for b in table.elements if (a, b) in le and b != a]
-        for b in ups_a:
-            for c in table.elements:
-                if c == b or c == a or (b, c) not in le:
-                    continue
-                if (a, c) not in le:
-                    return (a, b, c)
+    up = table._kernel()[2]
+    elements = table.elements
+    for i, a in enumerate(elements):
+        for j in bits(up[i] & ~(1 << i)):
+            beyond = up[j] & ~up[i] & ~(1 << i) & ~(1 << j)
+            if beyond:
+                return (a, elements[j], elements[next(bits(beyond))])
     return None
 
 
 def join(table, a, b):
     """Least upper bound of a and b under <=, or None."""
-    ups = [x for x in table.elements if leq(table, a, x) and leq(table, b, x)]
-    for x in ups:
-        if all(leq(table, x, y) for y in ups):
-            return x
+    up = table._kernel()[2]
+    common = up[table.index(a)] & up[table.index(b)]
+    for x in bits(common):
+        if not common & ~up[x]:
+            return table.elements[x]
     return None
+
+
+def minimal_nonzero(table, members):
+    """The <=-minimal nonzero elements among members, in index order."""
+    down = table._kernel()[3]
+    mask = sum(1 << table.index(e) for e in members if e != table.zero)
+    return [
+        table.elements[p] for p in bits(mask) if not down[p] & mask & ~(1 << p)
+    ]
+
+
+def hasse_covers(table):
+    """Pairs (a, b) with a < b and nothing strictly between, in index order."""
+    _, _, up, down = table._kernel()
+    above = [u & ~d for u, d in zip(up, down)]
+    below = [d & ~u for u, d in zip(up, down)]
+    return [
+        (a, table.elements[j])
+        for i, a in enumerate(table.elements)
+        for j in bits(above[i])
+        if not above[i] & below[j]
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -347,12 +380,7 @@ def boolean_atoms(table, subset):
     a fixed order; all such sums must be defined).
     """
     members = [e for e in table.elements if e in subset]
-    nonzero = [e for e in members if e != table.zero]
-    mins = [
-        p
-        for p in nonzero
-        if not any(q != p and leq(table, q, p) for q in nonzero)
-    ]
+    mins = minimal_nonzero(table, members)
     k = len(mins)
     if len(members) != 2 ** k:
         return None
@@ -422,43 +450,43 @@ def is_omp(table):
     Returns an AxiomReport whose class is "omp" on success and
     "orthoalgebra" with the first failing axiom otherwise.
     """
-    le = table.le_pairs()
+    _, _, up, down = table._kernel()
+    elements = table.elements
 
     def fail(axiom, witness):
         return AxiomReport("orthoalgebra", (Violation(axiom, witness),))
 
     # partial order (reflexivity comes from a + 0 = a)
-    for a in table.elements:
-        if (a, a) not in le:
+    for i, a in enumerate(elements):
+        if not up[i] >> i & 1:
             return fail("omp-partial-order", (a,))
-    for a, b in itertools.product(table.elements, repeat=2):
-        if a != b and (a, b) in le and (b, a) in le:
-            return fail("omp-partial-order", (a, b))
+    for i, a in enumerate(elements):
+        mutual = up[i] & down[i] & ~(1 << i)
+        if mutual:
+            return fail("omp-partial-order", (a, elements[next(bits(mutual))]))
     tr = order_transitivity_counterexample(table)
     if tr is not None:
         return fail("omp-partial-order", tr)
-    for a in table.elements:
+    for a in elements:
         if table.complement(table.complement(a)) != a:
             return fail("omp-involution", (a,))
-    for a, b in itertools.product(table.elements, repeat=2):
-        if (a, b) in le:
-            if not leq(table, table.complement(b), table.complement(a)):
-                return fail("omp-order-reversing", (a, b))
-    for a in table.elements:
+    for i, a in enumerate(elements):
+        for j in bits(up[i]):
+            if not leq(table, table.complement(elements[j]), table.complement(a)):
+                return fail("omp-order-reversing", (a, elements[j]))
+    for a in elements:
         if join(table, a, table.complement(a)) != table.one:
             return fail("omp-complement-join", (a,))
-    for a in table.elements:
+    for a in elements:
         for b in table.partners(a):
             if join(table, a, b) is None:
                 return fail("omp-orthogonal-join", (a, b))
-    for a, b in itertools.product(table.elements, repeat=2):
-        if not leq(table, a, b):
-            continue
-        step = join(table, a, table.complement(b))
-        if step is None:
-            return fail("omp-orthomodular", (a, b))
-        if join(table, a, table.complement(step)) != b:
-            return fail("omp-orthomodular", (a, b))
+    for i, a in enumerate(elements):
+        for j in bits(up[i]):
+            b = elements[j]
+            step = join(table, a, table.complement(b))
+            if step is None or join(table, a, table.complement(step)) != b:
+                return fail("omp-orthomodular", (a, b))
     return AxiomReport("omp", ())
 
 

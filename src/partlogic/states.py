@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import StructureError
-from .oa import format_label, leq
+from .oa import format_label, leq, minimal_nonzero
 
 
 class TwoValuedState:
@@ -108,10 +108,7 @@ class StateSpaceSolution:
 
 def atoms_of(table):
     """<=-minimal nonzero elements of a table, in index order."""
-    nz = [e for e in table.elements if e != table.zero]
-    return [
-        p for p in nz if not any(q != p and leq(table, q, p) for q in nz)
-    ]
+    return minimal_nonzero(table, table.elements)
 
 
 def _sum_entries(table):

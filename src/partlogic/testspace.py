@@ -27,20 +27,13 @@ from .oa import (
     FiniteQuasiOrthoalgebra,
     UnionFind,
     Violation,
+    bits,
     block_sums,
     cell_key,
     format_label,
     subsets,
 )
 from .partition import PartitionLogic
-
-
-def _bits(mask):
-    """Indices of the set bits of mask, ascending."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 def _exact_covers(width, rows):
@@ -54,12 +47,12 @@ def _exact_covers(width, rows):
     full = (1 << width) - 1
     col_rows = [[] for _ in range(width)]
     for r, row in enumerate(rows):
-        for c in _bits(row):
+        for c in bits(row):
             col_rows[c].append(r)
 
     def fitting(covered):
         best = None
-        for c in _bits(full & ~covered):
+        for c in bits(full & ~covered):
             fits = [r for r in col_rows[c] if not rows[r] & covered]
             if best is None or len(fits) < len(best):
                 best = fits
@@ -369,7 +362,7 @@ def ts_to_partition_test_space(ts):
     n = len(ts.outcomes)
     valued = [[] for _ in ts.outcomes]
     for name, m in zip(names, masks):
-        for b in _bits(m):
+        for b in bits(m):
             valued[n - 1 - b].append(name)
     phi = {x: frozenset(v) for x, v in zip(ts.outcomes, valued)}
 
@@ -473,7 +466,7 @@ def omp_conditions(pts):
 
     triple_witness = None
     for i, oi in enumerate(orth):
-        for j in _bits(oi):
+        for j in bits(oi):
             bad = oi & orth[j] & ~orth[index[masks[i] | masks[j]]]
             if bad:
                 g = (bad & -bad).bit_length() - 1

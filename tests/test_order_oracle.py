@@ -1,0 +1,117 @@
+"""The bitmask order kernel agrees with the label scans it replaced.
+
+`order_oracle` holds verbatim copies of the old label-based order code.  On
+seeded random tables, a third of them missing one `a + 0` entry, on random
+Greechie pastings, partition logics and atlases, and on the corpus, every
+order query must give the same value, witness and exception.
+"""
+
+import random
+from collections import Counter
+
+import order_oracle as old
+import partlogic as P
+from partlogic.dot import _greechie_dot
+from test_pasting_oracle import (
+    loop_diagram,
+    random_diagrams,
+    random_labelled_atlas,
+    random_partition_logic,
+)
+from test_random_agreement import random_table
+
+SEED = 20261020
+
+
+def outcome(f, *args):
+    try:
+        return f(*args)
+    except P.LogicError as exc:
+        return type(exc), str(exc)
+
+
+def random_tables(rng, want):
+    out = []
+    for _ in range(want):
+        t = random_table(rng)
+        if rng.random() < 1 / 3:
+            oplus = dict(t.table)
+            del oplus[(rng.choice(t.elements), "0")]
+            t = P.FiniteQuasiOrthoalgebra(t.elements, t.zero, t.one, oplus)
+        out.append(t)
+    return out
+
+
+def pasted(build, inputs, max_elements=24):
+    """The tables built from inputs, skipping failures and large tables.
+
+    The old blocks search and the old join grow fast with the table, so
+    the cap keeps the comparison quick.
+    """
+    out = []
+    for x in inputs:
+        try:
+            t = build(x)
+        except P.LogicError:
+            continue
+        if max_elements is None or len(t.elements) <= max_elements:
+            out.append(t)
+    return out
+
+
+def agree(t, rng):
+    """Compare every order query on t; returns its classify outcome."""
+    ref = old.LabelTable(t)
+    for name in (
+        "verify_oa",
+        "verify_oa_golfin",
+        "classify",
+        "is_omp",
+        "order_transitivity_counterexample",
+        "atoms_of",
+    ):
+        assert outcome(getattr(P, name), t) == outcome(getattr(old, name), ref), name
+    blocks = old.blocks(ref)
+    assert P.blocks(t) == blocks
+    for a in t.elements:
+        assert t.partners(a) == ref.partners(a)
+        assert t.complements(a) == ref.complements(a)
+        assert outcome(t.complement, a) == outcome(ref.complement, a)
+        for b in t.elements:
+            assert P.leq(t, a, b) == old.leq(ref, a, b)
+            assert P.join(t, a, b) == old.join(ref, a, b)
+    assert list(t.pairs()) == list(ref.pairs())
+    subsets = [frozenset(b) for b in blocks]
+    subsets += [
+        frozenset(rng.sample(t.elements, rng.randint(0, len(t.elements))))
+        for _ in range(4)
+    ]
+    for s in subsets:
+        assert P.boolean_atoms(t, s) == old.boolean_atoms(ref, s)
+    if old.verify_quasi_oa(ref).passed:
+        assert P.render_dot(t, "hasse") == old._hasse_dot(ref)
+        atom_blocks = [old.boolean_atoms(ref, frozenset(b))[0] for b in blocks]
+        assert P.render_dot(t, "greechie") == _greechie_dot(atom_blocks)
+    return outcome(P.classify, t)
+
+
+def test_kernel_matches_label_scans():
+    rng = random.Random(SEED)
+    tables = random_tables(rng, 1000)
+    diagrams = random_diagrams(SEED + 1, 150) + [loop_diagram(k) for k in range(2, 7)]
+    tables += pasted(P.from_greechie, diagrams)
+    tables += pasted(
+        P.pasting_to_oa, [random_partition_logic(rng) for _ in range(200)]
+    )
+    tables += pasted(
+        P.atlas_to_quasi_oa, [random_labelled_atlas(rng) for _ in range(400)]
+    )
+    tables += pasted(P.as_table, P.corpus(), max_elements=None)
+    classes = Counter(agree(t, rng) for t in tables)
+    # every structure class is reached, and the transitivity scan finds
+    # counterexamples
+    for cls in ("not_quasi_oa", "quasi_oa", "orthoalgebra", "omp", "boolean"):
+        assert classes[cls], cls
+    assert any(
+        old.order_transitivity_counterexample(old.LabelTable(t)) for t in tables
+    )
