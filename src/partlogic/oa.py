@@ -7,12 +7,13 @@ in element-index order and results are reported in that order.
 
 import functools
 import itertools
-from collections import defaultdict
+from collections import defaultdict, namedtuple
 from dataclasses import dataclass
 
 from .errors import AxiomViolationError, PastingError, StructureError
 
 QUASI_AXIOMS = ("oai", "oaii", "oaiii", "oaiv", "oav", "oavi")
+_Kernel = namedtuple("_Kernel", "rows partners complements up down")
 
 
 def format_label(label):
@@ -69,7 +70,9 @@ class FiniteQuasiOrthoalgebra:
     Element labels are opaque hashable values; their order fixes every
     deterministic output (block lists, counterexample scans, serialization).
     The constructor is permissive so that verifiers can diagnose bad tables.
-    Instances are treated as immutable once built.
+    Instances are treated as immutable once built.  The scans run on the
+    integer rows of `rows`; `table`, `value`, `defined`, `pairs` and
+    `sums_from` are label views.
     """
 
     def __init__(self, elements, zero, one, oplus):
@@ -78,8 +81,7 @@ class FiniteQuasiOrthoalgebra:
         self.one = one
         self.table = dict(oplus)
         self._index = {e: i for i, e in enumerate(self.elements)}
-        self._sums_from = None
-        self._masks = None
+        self._kern = None
 
     def __len__(self):
         return len(self.elements)
@@ -98,43 +100,52 @@ class FiniteQuasiOrthoalgebra:
 
     def sums_from(self, a):
         """Map b -> a + b over all partners b of a."""
-        if self._sums_from is None:
-            by_first = defaultdict(dict)
-            for (x, y), z in self.table.items():
-                by_first[x][y] = z
-            self._sums_from = dict(by_first)
-        return self._sums_from.get(a, {})
+        el = self.elements
+        return {el[j]: el[k] for j, k in self.rows()[self._index[a]].items()}
+
+    def rows(self):
+        """The sum on element indices: rows()[i][j] = k iff e_i + e_j = e_k.
+
+        Each row lists its partners j in ascending order.  Entries naming a
+        non-element are left out; `structural_check` reports them.
+        """
+        return self._kernel().rows
 
     def _kernel(self):
-        """Per-element int bitmasks (partners, complements, up, down), built once.
+        """The rows plus four int bitmasks per element, built in one pass.
 
-        Bit j of partners[i]: e_i + e_j is defined; of complements[i]: it is
-        1; of up[i], and bit i of down[j]: e_i <= e_j, i.e. e_i + c = e_j for
-        some c.  Labels that are not elements set no bit.
+        Returns a _Kernel (rows, partners, complements, up, down).  Bit j of
+        partners[i]: e_i + e_j is defined; of complements[i]: it is 1; of
+        up[i], and bit i of down[j]: e_i <= e_j, i.e. e_i + c = e_j for
+        some c.
         """
-        if self._masks is None:
+        if self._kern is None:
             index, n = self._index, len(self.elements)
+            one = index.get(self.one)
+            rows = [{} for _ in range(n)]
             partners, comps, up, down = [0] * n, [0] * n, [0] * n, [0] * n
             for (a, b), c in self.table.items():
                 i, j, k = index.get(a), index.get(b), index.get(c)
-                if i is not None and j is not None:
-                    partners[i] |= 1 << j
-                    if c == self.one:
-                        comps[i] |= 1 << j
-                if i is not None and k is not None:
-                    up[i] |= 1 << k
-                    down[k] |= 1 << i
-            self._masks = (partners, comps, up, down)
-        return self._masks
+                if i is None or j is None or k is None:
+                    continue
+                rows[i][j] = k
+                partners[i] |= 1 << j
+                if k == one:
+                    comps[i] |= 1 << j
+                up[i] |= 1 << k
+                down[k] |= 1 << i
+            rows = [dict(sorted(row.items())) for row in rows]
+            self._kern = _Kernel(rows, partners, comps, up, down)
+        return self._kern
 
     def partners(self, a):
         """Partners of a in element-index order."""
-        partners = self._kernel()[0][self._index[a]]
+        partners = self._kernel().partners[self._index[a]]
         return [self.elements[j] for j in bits(partners)]
 
     def complements(self, a):
         """All b with a + b = 1, in element-index order."""
-        comps = self._kernel()[1][self._index[a]]
+        comps = self._kernel().complements[self._index[a]]
         return [self.elements[j] for j in bits(comps)]
 
     def complement(self, a):
@@ -149,10 +160,21 @@ class FiniteQuasiOrthoalgebra:
 
     def pairs(self):
         """Defined sum pairs in element-index order."""
-        for a in self.elements:
-            row = self.sums_from(a)
-            for b in self.partners(a):
-                yield a, b, row[b]
+        el = self.elements
+        for i, j, k in _entries(self.rows()):
+            yield el[i], el[j], el[k]
+
+
+def _entries(rows):
+    """Index triples (i, j, k) with e_i + e_j = e_k, in element-index order."""
+    for i, row in enumerate(rows):
+        for j, k in row.items():
+            yield i, j, k
+
+
+def _only(mask):
+    """The index of the single set bit of mask, or None."""
+    return mask.bit_length() - 1 if mask and not mask & (mask - 1) else None
 
 
 def structural_check(table):
@@ -176,79 +198,55 @@ def structural_check(table):
             )
 
 
-def _unique_complement(table, a):
-    cs = table.complements(a)
-    return cs[0] if len(cs) == 1 else None
+def _scans(table):
+    """Lazy scans for each axiom's counterexamples, as index tuples in scan order."""
+    rows, _, comps, _, _ = table._kernel()
+    zero = table.index(table.zero)
+    comp = [_only(c) for c in comps]
+    return {
+        "oai": ((i, j) for i, j, k in _entries(rows) if rows[j].get(i) != k),
+        "oaii": ((i,) for i, row in enumerate(rows) if row.get(zero) != i),
+        "oaiii": ((i,) for i, c in enumerate(comp) if c is None),
+        # oaiv and oav quantify over nested sums; skip pairs whose complement
+        # is not unique (already charged to oaiii)
+        "oaiv": (
+            (i, j)
+            for i, c in enumerate(comp)
+            if c is not None
+            for j, k in rows[c].items()
+            if k in rows[i] and j != zero
+        ),
+        "oav": ((i, j) for i, j, k in _entries(rows) if k in rows[i] and i != zero),
+        "oavi": (
+            (i, j)
+            for i, j, k in _entries(rows)
+            if None not in (comp[j], comp[k]) and rows[i].get(comp[k]) != comp[j]
+        ),
+        # a+b and (a+b)+c defined force b+c and a+(b+c), all equal
+        "oavii": (
+            (i, j, c)
+            for i, j, ab in _entries(rows)
+            for c, abc in rows[ab].items()
+            if rows[i].get(rows[j].get(c)) != abc
+        ),
+        "oav*": ((i,) for i, row in enumerate(rows) if i in row and i != zero),
+    }
 
 
-def _quasi_violations(table):
-    found = {}
-
-    def record(axiom, witness):
-        if axiom not in found:
-            found[axiom] = Violation(axiom, witness)
-
-    zero, one = table.zero, table.one
-    for a, b, c in table.pairs():
-        if table.sums_from(b).get(a) != c and "oai" not in found:
-            record("oai", (a, b))
-    for a in table.elements:
-        if table.sums_from(a).get(zero) != a:
-            record("oaii", (a,))
-            break
-    for a in table.elements:
-        if len(table.complements(a)) != 1:
-            record("oaiii", (a,))
-            break
-    # oaiv and oav quantify over nested sums; skip pairs whose complement
-    # is not unique (already charged to oaiii)
-    for a in table.elements:
-        if "oaiv" in found:
-            break
-        ac = _unique_complement(table, a)
-        if ac is None:
-            continue
-        row_ac = table.sums_from(ac)
-        row_a = table.sums_from(a)
-        for b in table.elements:
-            if b in row_ac and row_ac[b] in row_a and b != zero:
-                record("oaiv", (a, b))
-                break
-    for a, b, c in table.pairs():
-        if "oav" in found:
-            break
-        if c in table.sums_from(a) and a != zero:
-            record("oav", (a, b))
-    for a, b, c in table.pairs():
-        if "oavi" in found:
-            break
-        cc = _unique_complement(table, c)
-        bc = _unique_complement(table, b)
-        if cc is None or bc is None:
-            continue
-        if table.sums_from(a).get(cc) != bc:
-            record("oavi", (a, b))
-    return tuple(found[ax] for ax in QUASI_AXIOMS if ax in found)
-
-
-def _assoc_violation(table):
-    # oavii: a+b and (a+b)+c defined force b+c and a+(b+c), all equal
-    for a in table.elements:
-        row_a = table.sums_from(a)
-        for b in table.partners(a):
-            ab = row_a[b]
-            row_ab = table.sums_from(ab)
-            row_b = table.sums_from(b)
-            for c in table.partners(ab):
-                if c not in row_b or row_a.get(row_b[c]) != row_ab[c]:
-                    return Violation("oavii", (a, b, c))
-    return None
+def _violations(table, axioms):
+    """The given axioms that fail, each with its first witness, in order."""
+    scans = _scans(table)
+    el = table.elements
+    firsts = ((ax, next(scans[ax], None)) for ax in axioms)
+    return tuple(
+        Violation(ax, tuple(el[i] for i in w)) for ax, w in firsts if w is not None
+    )
 
 
 def verify_quasi_oa(table):
     """Check the six quasi-orthoalgebra axioms exhaustively."""
     structural_check(table)
-    violations = _quasi_violations(table)
+    violations = _violations(table, QUASI_AXIOMS)
     cls = "quasi_oa" if not violations else "not_quasi_oa"
     return AxiomReport(cls, violations)
 
@@ -258,37 +256,20 @@ def verify_oa(table):
     report = verify_quasi_oa(table)
     if not report.passed:
         return report
-    v = _assoc_violation(table)
-    if v is None:
-        return AxiomReport("orthoalgebra", ())
-    return AxiomReport("quasi_oa", (v,))
+    assoc = _violations(table, ("oavii",))
+    return AxiomReport("quasi_oa" if assoc else "orthoalgebra", assoc)
 
 
 def verify_oa_golfin(table):
     """Check the alternative four-axiom characterization of orthoalgebras."""
     structural_check(table)
-    found = []
-    for a, b, c in table.pairs():
-        if table.sums_from(b).get(a) != c:
-            found.append(Violation("oai", (a, b)))
-            break
-    for a in table.elements:
-        if len(table.complements(a)) != 1:
-            found.append(Violation("oaiii", (a,)))
-            break
-    v = _assoc_violation(table)
-    if v is not None:
-        found.append(v)
-    for a in table.elements:
-        if a in table.sums_from(a) and a != table.zero:
-            found.append(Violation("oav*", (a,)))
-            break
+    found = _violations(table, ("oai", "oaiii", "oavii", "oav*"))
     if not found:
         return AxiomReport("orthoalgebra", ())
     axioms = {v.axiom for v in found}
     # failing only associativity still leaves a possible quasi-orthoalgebra
     cls = "quasi_oa" if axioms == {"oavii"} else "not_quasi_oa"
-    return AxiomReport(cls, tuple(found))
+    return AxiomReport(cls, found)
 
 
 def orthocomplement(table, a):
@@ -298,13 +279,13 @@ def orthocomplement(table, a):
 
 def leq(table, a, b):
     """a <= b iff some c has a + c = b."""
-    up = table._kernel()[2]
+    up = table._kernel().up
     return bool(up[table.index(a)] >> table.index(b) & 1)
 
 
 def order_transitivity_counterexample(table):
     """First (a, b, c) with a <= b <= c but not a <= c, or None."""
-    up = table._kernel()[2]
+    up = table._kernel().up
     elements = table.elements
     for i, a in enumerate(elements):
         for j in bits(up[i] & ~(1 << i)):
@@ -316,7 +297,7 @@ def order_transitivity_counterexample(table):
 
 def join(table, a, b):
     """Least upper bound of a and b under <=, or None."""
-    up = table._kernel()[2]
+    up = table._kernel().up
     common = up[table.index(a)] & up[table.index(b)]
     for x in bits(common):
         if not common & ~up[x]:
@@ -326,16 +307,20 @@ def join(table, a, b):
 
 def minimal_nonzero(table, members):
     """The <=-minimal nonzero elements among members, in index order."""
-    down = table._kernel()[3]
-    mask = sum(1 << table.index(e) for e in members if e != table.zero)
-    return [
-        table.elements[p] for p in bits(mask) if not down[p] & mask & ~(1 << p)
-    ]
+    mask = sum(1 << table.index(e) for e in members)
+    return [table.elements[p] for p in _minimal(table, mask)]
+
+
+def _minimal(table, mask):
+    """Indices of the <=-minimal nonzero members of an index mask, ascending."""
+    down = table._kernel().down
+    mask &= ~(1 << table.index(table.zero))
+    return [p for p in bits(mask) if not down[p] & mask & ~(1 << p)]
 
 
 def hasse_covers(table):
     """Pairs (a, b) with a < b and nothing strictly between, in index order."""
-    _, _, up, down = table._kernel()
+    _, _, _, up, down = table._kernel()
     above = [u & ~d for u, d in zip(up, down)]
     below = [d & ~u for u, d in zip(up, down)]
     return [
@@ -351,56 +336,63 @@ def hasse_covers(table):
 
 
 def _closure(table, seed):
-    """Close a set under complements and defined sums; None if uncloseable."""
-    out = set(seed)
-    out.add(table.zero)
-    out.add(table.one)
+    """Close an index set under complements and defined sums; None if uncloseable."""
+    rows, _, comps, _, _ = table._kernel()
+    out = set(seed) | {table.index(table.zero), table.index(table.one)}
     work = list(out)
     while work:
         x = work.pop()
-        cs = table.complements(x)
-        if len(cs) != 1:
+        c = _only(comps[x])
+        if c is None:
             return None
-        if cs[0] not in out:
-            out.add(cs[0])
-            work.append(cs[0])
-        row = table.sums_from(x)
+        if c not in out:
+            out.add(c)
+            work.append(c)
+        row = rows[x]
         for y in list(out):
-            if y in row and row[y] not in out:
-                out.add(row[y])
-                work.append(row[y])
+            z = row.get(y)
+            if z is not None and z not in out:
+                out.add(z)
+                work.append(z)
     return frozenset(out)
 
 
-def boolean_atoms(table, subset):
-    """Local atoms and the subset-sum map when `subset` is Boolean, else None.
+def _boolean(table, subset):
+    """Atom indices and the subset-sum map when an index set is Boolean, else None.
 
     The test: the <=-minimal nonzero members p1..pk satisfy |subset| = 2^k
     and every member is the sum of exactly one subset of the p_i (summed in
-    a fixed order; all such sums must be defined).
+    a fixed order; all such sums must be defined).  The map sends each
+    subset of positions in mins to the index of its sum.
     """
-    members = [e for e in table.elements if e in subset]
-    mins = minimal_nonzero(table, members)
+    rows = table.rows()
+    mins = _minimal(table, sum(1 << i for i in subset))
     k = len(mins)
-    if len(members) != 2 ** k:
+    if len(subset) != 2 ** k:
         return None
-    sums = {frozenset(): table.zero}
+    sums = {frozenset(): table.index(table.zero)}
     for r in range(1, k + 1):
         for combo in itertools.combinations(range(k), r):
-            prev = frozenset(combo[:-1])
-            if prev not in sums:
+            s = rows[sums[frozenset(combo[:-1])]].get(mins[combo[-1]])
+            if s is None:
                 return None
-            base = sums[prev]
-            last = mins[combo[-1]]
-            row = table.sums_from(base)
-            if last not in row:
-                return None
-            sums[frozenset(combo)] = row[last]
-    values = set(sums.values())
-    if len(values) != 2 ** k or values != set(members):
+            sums[frozenset(combo)] = s
+    if set(sums.values()) != set(subset):
         return None
-    atom_sets = {frozenset(mins[i] for i in key): v for key, v in sums.items()}
-    return tuple(mins), atom_sets
+    return mins, sums
+
+
+def boolean_atoms(table, subset):
+    """Local atoms and the subset-sum map when `subset` is Boolean, else None."""
+    found = _boolean(table, {i for i, e in enumerate(table.elements) if e in subset})
+    if found is None:
+        return None
+    mins, sums = found
+    el = table.elements
+    atom_sets = {
+        frozenset(el[mins[i]] for i in key): el[v] for key, v in sums.items()
+    }
+    return tuple(el[p] for p in mins), atom_sets
 
 
 def blocks(table):
@@ -411,7 +403,7 @@ def blocks(table):
     admitting none.
     """
     start = _closure(table, ())
-    if start is None or boolean_atoms(table, start) is None:
+    if start is None or _boolean(table, start) is None:
         return []
     seen = set()
     maximal = set()
@@ -422,11 +414,11 @@ def blocks(table):
             continue
         seen.add(current)
         extensions = []
-        for x in table.elements:
+        for x in range(len(table.elements)):
             if x in current:
                 continue
             grown = _closure(table, current | {x})
-            if grown is not None and boolean_atoms(table, grown) is not None:
+            if grown is not None and _boolean(table, grown) is not None:
                 extensions.append(grown)
         if extensions:
             stack.extend(extensions)
@@ -434,14 +426,11 @@ def blocks(table):
             maximal.add(current)
     # a set reported maximal on one path may still sit inside another block
     maximal = [
-        blk
+        tuple(sorted(blk))
         for blk in maximal
         if not any(other != blk and blk < other for other in maximal)
     ]
-    as_tuples = [
-        tuple(e for e in table.elements if e in blk) for blk in maximal
-    ]
-    return sorted(as_tuples, key=lambda blk: tuple(table.index(e) for e in blk))
+    return [tuple(table.elements[i] for i in blk) for blk in sorted(maximal)]
 
 
 def is_omp(table):
@@ -450,7 +439,7 @@ def is_omp(table):
     Returns an AxiomReport whose class is "omp" on success and
     "orthoalgebra" with the first failing axiom otherwise.
     """
-    _, _, up, down = table._kernel()
+    _, _, _, up, down = table._kernel()
     elements = table.elements
 
     def fail(axiom, witness):
@@ -498,34 +487,35 @@ def classify(table):
     omp = is_omp(table)
     if not omp.passed:
         return "orthoalgebra"
-    full = frozenset(table.elements)
-    if boolean_atoms(table, full) is not None:
+    if _boolean(table, range(len(table.elements))) is not None:
         return "boolean"
     return "omp"
 
 
-def _sum_of_three_defined(table, x, y, z):
+def _sum_of_three_defined(rows, x, y, z):
     for p, q, r in itertools.permutations((x, y, z)):
-        pq = table.sums_from(p).get(q)
-        if pq is not None and r in table.sums_from(pq):
+        pq = rows[p].get(q)
+        if pq is not None and r in rows[pq]:
             return True
     return False
 
 
 def mackey_decompositions(table, a, b):
     """All (a1, b1, c) with a = a1 + c, b = b1 + c, all three jointly summable."""
-    into_a = [(x, c) for x, c, s in table.pairs() if s == a]
+    rows = table.rows()
+    ia, ib = table.index(a), table.index(b)
     into_b = defaultdict(list)
-    for y, c, s in table.pairs():
-        if s == b:
+    for y, c, s in _entries(rows):
+        if s == ib:
             into_b[c].append(y)
-    out = []
-    for a1, c in into_a:
-        for b1 in into_b.get(c, ()):
-            if _sum_of_three_defined(table, a1, b1, c):
-                out.append((a1, b1, c))
-    idx = table.index
-    return sorted(out, key=lambda t: (idx(t[0]), idx(t[1]), idx(t[2])))
+    out = sorted(
+        (x, y, c)
+        for x, c, s in _entries(rows)
+        if s == ia
+        for y in into_b.get(c, ())
+        if _sum_of_three_defined(rows, x, y, c)
+    )
+    return [tuple(table.elements[i] for i in t) for t in out]
 
 
 # ---------------------------------------------------------------------------

@@ -120,18 +120,21 @@ def oa_to_partition_logic(table):
         )
     sts = primeness.separating
     names = ["p%d" % (k + 1) for k in range(len(sts))]
-    # the states valuing x at 1, i.e. the prime ideals omitting x
-    support = {
-        x: frozenset(name for name, s in zip(names, sts) if s.bits[i])
-        for i, x in enumerate(table.elements)
-    }
+    # the states valuing x at 1, i.e. the prime ideals omitting x; a state
+    # values x' at 1 exactly when it values x at 0
+    support = [
+        frozenset(name for name, s in zip(names, sts) if s.bits[i])
+        for i in range(len(table.elements))
+    ]
+    outside = [frozenset(names) - s for s in support]
 
     partitions = []
-    for x, y, s in table.pairs():
-        rest = table.complement(s)
-        cells = [support[z] for z in (x, y, rest) if support[z]]
-        if cells:
-            partitions.append(cells)
+    for i, row in enumerate(table.rows()):
+        for j, k in row.items():
+            table.complement(table.elements[k])  # raises unless it is unique
+            cells = [c for c in (support[i], support[j], outside[k]) if c]
+            if cells:
+                partitions.append(cells)
     return PartitionLogic(names, partitions)
 
 
@@ -148,32 +151,23 @@ def urn_to_partition_logic(urn):
 
 
 def _signatures(table):
-    """Per-element invariants preserved by any isomorphism."""
-    base = {}
-    for a in table.elements:
-        partners = table.partners(a)
-        base[a] = (
-            a == table.zero,
-            a == table.one,
-            len(partners),
-            len(table.complements(a)),
-        )
+    """Per-index invariants preserved by any isomorphism."""
+    rows = table.rows()
+    zero, one = table.index(table.zero), table.index(table.one)
+    base = [
+        (i == zero, i == one, len(row), sum(k == one for k in row.values()))
+        for i, row in enumerate(rows)
+    ]
     # one refinement round: multiset of partner base signatures
-    sig = {}
-    for a in table.elements:
-        partner_sigs = sorted(base[b] for b in table.partners(a))
-        sig[a] = (base[a], tuple(partner_sigs))
-    return sig
+    return [(base[i], tuple(sorted(base[j] for j in row))) for i, row in enumerate(rows)]
 
 
 def _verify_mapping(t1, t2, mapping):
-    fwd = {(mapping[a], mapping[b]) for (a, b) in t1.table}
-    if fwd != set(t2.table):
-        return False
-    for (a, b), c in t1.table.items():
-        if t2.table[(mapping[a], mapping[b])] != mapping[c]:
-            return False
-    return True
+    rows2 = t2.rows()
+    return all(
+        {mapping[j]: mapping[k] for j, k in row.items()} == rows2[mapping[i]]
+        for i, row in enumerate(t1.rows())
+    )
 
 
 def isomorphic(t1, t2):
@@ -185,34 +179,33 @@ def isomorphic(t1, t2):
         return None
     sig1 = _signatures(t1)
     sig2 = _signatures(t2)
-    if sorted(sig1.values()) != sorted(sig2.values()):
+    if sorted(sig1) != sorted(sig2):
         return None
     by_sig2 = defaultdict(list)
-    for b in t2.elements:
-        by_sig2[sig2[b]].append(b)
+    for b, sig in enumerate(sig2):
+        by_sig2[sig].append(b)
 
-    mapping = {t1.zero: t2.zero, t1.one: t2.one}
-    used = {t2.zero, t2.one}
-    if sig1[t1.zero] != sig2[t2.zero] or sig1[t1.one] != sig2[t2.one]:
+    zero1, one1 = t1.index(t1.zero), t1.index(t1.one)
+    zero2, one2 = t2.index(t2.zero), t2.index(t2.one)
+    mapping = {zero1: zero2, one1: one2}
+    used = {zero2, one2}
+    if sig1[zero1] != sig2[zero2] or sig1[one1] != sig2[one2]:
         return None
     # most-constrained-first: fewest candidates, then index order
     todo = sorted(
-        (e for e in t1.elements if e not in mapping),
-        key=lambda e: (len(by_sig2[sig1[e]]), t1.index(e)),
+        (a for a in range(len(sig1)) if a not in mapping),
+        key=lambda a: (len(by_sig2[sig1[a]]), a),
     )
+    rows1, rows2 = t1.rows(), t2.rows()
 
     def consistent(a, b):
-        row1 = t1.sums_from(a)
-        row2 = t2.sums_from(b)
+        row1, row2 = rows1[a], rows2[b]
         for x, fx in mapping.items():
-            d1 = x in row1
-            d2 = fx in row2
-            if d1 != d2:
+            s1, s2 = row1.get(x), row2.get(fx)
+            if (s1 is None) != (s2 is None):
                 return False
-            if d1:
-                s1 = row1[x]
-                if s1 in mapping and mapping[s1] != row2[fx]:
-                    return False
+            if s1 in mapping and mapping[s1] != s2:
+                return False
         return True
 
     def extend(k):
@@ -230,9 +223,10 @@ def isomorphic(t1, t2):
             used.discard(b)
         return False
 
-    if extend(0):
-        return Isomorphism(mapping)
-    return None
+    if not extend(0):
+        return None
+    el1, el2 = t1.elements, t2.elements
+    return Isomorphism({el1[a]: el2[b] for a, b in mapping.items()})
 
 
 def point_evaluations(pl, table=None):

@@ -5,12 +5,11 @@ plain backtracking search whose unit propagation runs over the sum entries
 a + b = c (the pair a + a' = 1 subsumes complement propagation).
 """
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import StructureError
-from .oa import format_label, leq, minimal_nonzero
+from .oa import format_label, minimal_nonzero
 
 
 class TwoValuedState:
@@ -113,15 +112,13 @@ def atoms_of(table):
 
 def _sum_entries(table):
     """Index triples (a, b, a + b), one per unordered sum pair, in pair order."""
-    idx = table.index
-    entries = []
-    seen = set()
-    for a, b, c in table.pairs():
-        key = tuple(sorted((idx(a), idx(b)))) + (idx(c),)
-        if key not in seen:
-            seen.add(key)
-            entries.append((idx(a), idx(b), idx(c)))
-    return entries
+    rows = table.rows()
+    return [
+        (i, j, k)
+        for i, row in enumerate(rows)
+        for j, k in row.items()
+        if not (j < i and rows[j].get(i) == k)
+    ]
 
 
 def enumerate_two_valued_states(table):
@@ -230,13 +227,12 @@ def is_prime_ideal(table, ideal):
         return False
     if table.zero not in members:
         return False
-    for a in members:
-        for b in table.elements:
-            if leq(table, b, a) and b not in members:
+    inside = [e in members for e in table.elements]
+    # a + b = c: c inside forces a inside (a <= c), a and b inside force c
+    for i, row in enumerate(table.rows()):
+        for j, k in row.items():
+            if inside[k] and not inside[i] or inside[i] and inside[j] and not inside[k]:
                 return False
-    for a, b, c in table.pairs():
-        if a in members and b in members and c not in members:
-            return False
     for a in table.elements:
         if (a in members) == (table.complement(a) in members):
             return False
@@ -261,9 +257,15 @@ def prime_ideal_to_state(table, ideal):
 def is_prime(table):
     """Whether the two-valued states separate every pair of elements."""
     sts = enumerate_two_valued_states(table)
-    for a, b in itertools.combinations(table.elements, 2):
-        if all(s(a) == s(b) for s in sts):
-            return PrimenessResult(False, None, (a, b))
+    # elements with equal value columns are inseparable; groups are keyed
+    # in order of their first member, so the first group with two members
+    # gives the first inseparable pair in combination order
+    groups = {}
+    for i, e in enumerate(table.elements):
+        groups.setdefault(tuple(s.bits[i] for s in sts), []).append(e)
+    for group in groups.values():
+        if len(group) > 1:
+            return PrimenessResult(False, None, tuple(group[:2]))
     return PrimenessResult(True, tuple(sts), None)
 
 

@@ -17,6 +17,7 @@ event.
 """
 
 import itertools
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -228,17 +229,23 @@ def is_algebraic(ts):
 
     Returns a PropertyCheck; the witness is the first (F, G, H) with
     F ~ G, F loc H but not G loc H, scanning events in canonical order.
+    That happens iff two events sharing a local complement differ in one.
     """
-    events = ts.events()
-    locs = {e: ts.local_complements(e) for e in events}
-    for f in events:
-        for g in events:
-            common = locs[f] & locs[g]
-            if not common:
-                continue
-            for h in sorted(locs[f], key=ts.event_key):
-                if h not in locs[g]:
-                    return PropertyCheck(False, (f, g, h))
+    # reversing a test's events, listed by bitmask, pairs h with t - h
+    locs, sharing = defaultdict(set), defaultdict(set)
+    for t in ts.tests:
+        inside = subsets(sorted(t, key=ts._key))
+        for h, rest in zip(inside, reversed(inside)):
+            locs[h].add(rest)
+            sharing[rest].add(h)
+    if all(len({frozenset(locs[g]) for g in gs}) == 1 for gs in sharing.values()):
+        return PropertyCheck(True)
+    for f in ts.events():
+        perspective = set().union(*(sharing[h] for h in locs[f]))
+        for g in sorted(perspective, key=ts.event_key):
+            missing = locs[f] - locs[g]
+            if missing:
+                return PropertyCheck(False, (f, g, min(missing, key=ts.event_key)))
     return PropertyCheck(True)
 
 

@@ -1,16 +1,22 @@
-"""The label-based order code that the per-element bitmasks replaced.
+"""The label-based table code that the per-element bitmasks and the integer
+sum rows replaced.
 
 Verbatim copies of the old `FiniteQuasiOrthoalgebra` order methods
-(`partners`, `complements`, `complement`, `le_pairs`, `pairs`) on
-`LabelTable`, and of the old functions that read them: the axiom scans,
-`leq`, `join`, the transitivity scan, `is_omp`, `classify`, the blocks
-search, `states.atoms_of` and the Hasse covers of `dot`.  They serve as
-the oracle in `test_order_oracle.py`.
+(`partners`, `complements`, `complement`, `le_pairs`, `pairs`, and the
+label `sums_from`) on `LabelTable`, and of the old functions that read
+them: the axiom scans, `leq`, `join`, the transitivity scan, `is_omp`,
+`classify`, the blocks search, `states.atoms_of` and the Hasse covers of
+`dot`, which serve as the oracle in `test_order_oracle.py`; and
+`states._sum_entries`, `mackey_decompositions`, `is_prime_ideal`, the
+pairwise `is_prime` scan, the `isomorphic` search with `_signatures` and
+`_verify_mapping`, and the events-squared `is_algebraic` scan of test
+spaces, which serve as the oracle in `test_rows_oracle.py`.
 """
 
 import itertools
 from collections import defaultdict
 
+from partlogic.atlas import PropertyCheck
 from partlogic.errors import AxiomViolationError
 from partlogic.oa import (
     QUASI_AXIOMS,
@@ -19,6 +25,8 @@ from partlogic.oa import (
     format_label,
     structural_check,
 )
+from partlogic.partition import Isomorphism
+from partlogic.states import PrimenessResult, enumerate_two_valued_states
 
 
 class LabelTable:
@@ -437,3 +445,184 @@ def _hasse_dot(table):
     lines.append("}")
     return "\n".join(lines) + "\n"
 
+
+
+# ---------------------------------------------------------------------------
+# the label-based sum scans that the integer rows replaced
+
+
+def _sum_entries(table):
+    """Index triples (a, b, a + b), one per unordered sum pair, in pair order."""
+    idx = table.index
+    entries = []
+    seen = set()
+    for a, b, c in table.pairs():
+        key = tuple(sorted((idx(a), idx(b)))) + (idx(c),)
+        if key not in seen:
+            seen.add(key)
+            entries.append((idx(a), idx(b), idx(c)))
+    return entries
+
+
+def _sum_of_three_defined(table, x, y, z):
+    for p, q, r in itertools.permutations((x, y, z)):
+        pq = table.sums_from(p).get(q)
+        if pq is not None and r in table.sums_from(pq):
+            return True
+    return False
+
+
+def mackey_decompositions(table, a, b):
+    """All (a1, b1, c) with a = a1 + c, b = b1 + c, all three jointly summable."""
+    into_a = [(x, c) for x, c, s in table.pairs() if s == a]
+    into_b = defaultdict(list)
+    for y, c, s in table.pairs():
+        if s == b:
+            into_b[c].append(y)
+    out = []
+    for a1, c in into_a:
+        for b1 in into_b.get(c, ()):
+            if _sum_of_three_defined(table, a1, b1, c):
+                out.append((a1, b1, c))
+    idx = table.index
+    return sorted(out, key=lambda t: (idx(t[0]), idx(t[1]), idx(t[2])))
+
+
+def is_prime_ideal(table, ideal):
+    """True iff the member set is a prime ideal of the table."""
+    members = ideal.members
+    if not members <= set(table.elements):
+        return False
+    if table.zero not in members:
+        return False
+    for a in members:
+        for b in table.elements:
+            if leq(table, b, a) and b not in members:
+                return False
+    for a, b, c in table.pairs():
+        if a in members and b in members and c not in members:
+            return False
+    for a in table.elements:
+        if (a in members) == (table.complement(a) in members):
+            return False
+    return True
+
+
+def is_prime(table):
+    """Whether the two-valued states separate every pair of elements."""
+    sts = enumerate_two_valued_states(table)
+    for a, b in itertools.combinations(table.elements, 2):
+        if all(s(a) == s(b) for s in sts):
+            return PrimenessResult(False, None, (a, b))
+    return PrimenessResult(True, tuple(sts), None)
+
+
+def _signatures(table):
+    """Per-element invariants preserved by any isomorphism."""
+    base = {}
+    for a in table.elements:
+        partners = table.partners(a)
+        base[a] = (
+            a == table.zero,
+            a == table.one,
+            len(partners),
+            len(table.complements(a)),
+        )
+    # one refinement round: multiset of partner base signatures
+    sig = {}
+    for a in table.elements:
+        partner_sigs = sorted(base[b] for b in table.partners(a))
+        sig[a] = (base[a], tuple(partner_sigs))
+    return sig
+
+
+def _verify_mapping(t1, t2, mapping):
+    fwd = {(mapping[a], mapping[b]) for (a, b) in t1.table}
+    if fwd != set(t2.table):
+        return False
+    for (a, b), c in t1.table.items():
+        if t2.table[(mapping[a], mapping[b])] != mapping[c]:
+            return False
+    return True
+
+
+def isomorphic(t1, t2):
+    """Search for a sum-preserving bijection; None when there is none.
+
+    Backtracking over elements with invariant pruning; 0 and 1 are pinned.
+    """
+    if len(t1.elements) != len(t2.elements):
+        return None
+    sig1 = _signatures(t1)
+    sig2 = _signatures(t2)
+    if sorted(sig1.values()) != sorted(sig2.values()):
+        return None
+    by_sig2 = defaultdict(list)
+    for b in t2.elements:
+        by_sig2[sig2[b]].append(b)
+
+    mapping = {t1.zero: t2.zero, t1.one: t2.one}
+    used = {t2.zero, t2.one}
+    if sig1[t1.zero] != sig2[t2.zero] or sig1[t1.one] != sig2[t2.one]:
+        return None
+    # most-constrained-first: fewest candidates, then index order
+    todo = sorted(
+        (e for e in t1.elements if e not in mapping),
+        key=lambda e: (len(by_sig2[sig1[e]]), t1.index(e)),
+    )
+
+    def consistent(a, b):
+        row1 = t1.sums_from(a)
+        row2 = t2.sums_from(b)
+        for x, fx in mapping.items():
+            d1 = x in row1
+            d2 = fx in row2
+            if d1 != d2:
+                return False
+            if d1:
+                s1 = row1[x]
+                if s1 in mapping and mapping[s1] != row2[fx]:
+                    return False
+        return True
+
+    def extend(k):
+        if k == len(todo):
+            return _verify_mapping(t1, t2, mapping)
+        a = todo[k]
+        for b in by_sig2[sig1[a]]:
+            if b in used or not consistent(a, b):
+                continue
+            mapping[a] = b
+            used.add(b)
+            if extend(k + 1):
+                return True
+            del mapping[a]
+            used.discard(b)
+        return False
+
+    if extend(0):
+        return Isomorphism(mapping)
+    return None
+
+
+# ---------------------------------------------------------------------------
+# the events-squared algebraicity scan of test spaces
+
+
+def is_algebraic(ts):
+    """Perspectivity must respect local complementation.
+
+    Returns a PropertyCheck; the witness is the first (F, G, H) with
+    F ~ G, F loc H but not G loc H, scanning events in canonical order.
+    """
+    events = ts.events()
+    locs = {e: ts.local_complements(e) for e in events}
+    for f in events:
+        for g in events:
+            common = locs[f] & locs[g]
+            if not common:
+                continue
+            for h in sorted(locs[f], key=ts.event_key):
+                if h not in locs[g]:
+                    return PropertyCheck(False, (f, g, h))
+    return PropertyCheck(True)
