@@ -11,8 +11,9 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-from .atlas import atlas_to_quasi_oa, is_manifold, quasi_oa_to_atlas, verify_atlas
+from .atlas import is_manifold, quasi_oa_to_atlas, verify_atlas
 from .automata import partition_logic_to_mealy, propositional_calculus
+from .corpus import TO_TABLE
 from .corpus import corpus as corpus_entries
 from .corpus import get as corpus_get
 from .dot import render_dot
@@ -23,12 +24,10 @@ from .oa import (
     boolean_atoms,
     classify,
     format_label,
-    from_greechie,
     verify_quasi_oa,
 )
 from .partition import (
     oa_to_partition_logic,
-    pasting_to_oa,
     isomorphic,
     urn_to_partition_logic,
 )
@@ -95,15 +94,15 @@ def _load(token):
 
 
 def _to_table(kind, payload, token):
-    if kind == "greechie":
-        return from_greechie(payload)
-    if kind == "partition_logic":
-        return pasting_to_oa(payload)
-    if kind == "urn":
-        return pasting_to_oa(urn_to_partition_logic(payload))
-    if kind == "atlas":
-        return atlas_to_quasi_oa(payload)
-    raise StructureError("source %s (%s) does not define a logic table" % (token, kind))
+    build = TO_TABLE.get(kind)
+    if build is None:
+        raise StructureError("source %s (%s) does not define a logic table" % (token, kind))
+    return build(payload)
+
+
+def _table(token):
+    """Load a source and paste it into a table."""
+    return _to_table(*_load(token), token)
 
 
 def _to_partition_logic(kind, payload, token):
@@ -118,6 +117,13 @@ def _witness(items):
     return [format_label(x) for x in items]
 
 
+def _violations(report):
+    return [
+        {"axiom": v.axiom, "witness": _witness(v.witness)}
+        for v in report.violations
+    ]
+
+
 def _cells_json(cells):
     return [sorted(map(str, c)) for c in cells]
 
@@ -130,10 +136,7 @@ def _cmd_verify(args):
         result = {
             "kind": kind,
             "class": report.structure_class,
-            "violations": [
-                {"axiom": v.axiom, "witness": _witness(v.witness)}
-                for v in report.violations
-            ],
+            "violations": _violations(report),
             "manifold": manifold,
         }
         return (0 if report.passed else 1), result, _verify_text(result)
@@ -142,10 +145,7 @@ def _cmd_verify(args):
         result = {
             "kind": kind,
             "class": report.structure_class,
-            "violations": [
-                {"axiom": v.axiom, "witness": _witness(v.witness)}
-                for v in report.violations
-            ],
+            "violations": _violations(report),
         }
         return (0 if report.passed else 1), result, _verify_text(result)
     if kind == "automaton":
@@ -164,10 +164,7 @@ def _cmd_verify(args):
         "kind": kind,
         "class": cls,
         "elements": len(table.elements),
-        "violations": [
-            {"axiom": v.axiom, "witness": _witness(v.witness)}
-            for v in report.violations
-        ],
+        "violations": _violations(report),
     }
     ok = cls not in ("not_quasi_oa",)
     return (0 if ok else 1), result, _verify_text(result)
@@ -183,8 +180,7 @@ def _verify_text(result):
 
 
 def _cmd_states(args):
-    kind, payload = _load(args.source)
-    table = _to_table(kind, payload, args.source)
+    table = _table(args.source)
     sts = enumerate_two_valued_states(table)
     atoms = atoms_of(table)
     rows = [list(s.row(atoms)) for s in sts]
@@ -200,8 +196,7 @@ def _cmd_states(args):
 
 
 def _cmd_prime(args):
-    kind, payload = _load(args.source)
-    table = _to_table(kind, payload, args.source)
+    table = _table(args.source)
     res = is_prime(table)
     if res.prime:
         result = {"prime": True, "states": len(res.separating)}
@@ -213,8 +208,7 @@ def _cmd_prime(args):
 
 
 def _cmd_blocks(args):
-    kind, payload = _load(args.source)
-    table = _to_table(kind, payload, args.source)
+    table = _table(args.source)
     blks = blocks(table)
     result = {
         "count": len(blks),
@@ -233,11 +227,7 @@ def _cmd_blocks(args):
 
 
 def _cmd_iso(args):
-    k1, p1 = _load(args.source)
-    k2, p2 = _load(args.other)
-    t1 = _to_table(k1, p1, args.source)
-    t2 = _to_table(k2, p2, args.other)
-    iso = isomorphic(t1, t2)
+    iso = isomorphic(_table(args.source), _table(args.other))
     if iso is None:
         return 1, {"isomorphic": False}, "not isomorphic"
     mapping = {
@@ -247,10 +237,7 @@ def _cmd_iso(args):
     return 0, {"isomorphic": True, "mapping": mapping}, "isomorphic\n" + text
 
 
-def _cmd_to_pl(args):
-    kind, payload = _load(args.source)
-    table = _to_table(kind, payload, args.source)
-    pl = oa_to_partition_logic(table)
+def _pl_result(pl):
     text = serialize(pl)
     result = {
         "points": len(pl.ground),
@@ -258,6 +245,10 @@ def _cmd_to_pl(args):
         "text": text,
     }
     return 0, result, text.rstrip("\n")
+
+
+def _cmd_to_pl(args):
+    return _pl_result(oa_to_partition_logic(_table(args.source)))
 
 
 def _cmd_to_automaton(args):
@@ -272,14 +263,7 @@ def _cmd_from_automaton(args):
     kind, payload = _load(args.source)
     if kind != "automaton":
         raise StructureError("source %s is not an automaton" % args.source)
-    pl = propositional_calculus(payload, args.max_word_length)
-    text = serialize(pl)
-    result = {
-        "points": len(pl.ground),
-        "partitions": [_cells_json(p) for p in pl.partitions],
-        "text": text,
-    }
-    return 0, result, text.rstrip("\n")
+    return _pl_result(propositional_calculus(payload, args.max_word_length))
 
 
 def _cmd_atlas(args):

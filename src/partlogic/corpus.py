@@ -9,11 +9,19 @@ classic output tables.
 from dataclasses import dataclass
 
 from .atlas import BooleanAtlas, BooleanChart, atlas_to_quasi_oa
-from .automata import MealyAutomaton
+from .automata import partition_logic_to_mealy
 from .errors import StructureError
 from .oa import GreechieDiagram, from_greechie
 from .partition import PartitionLogic, UrnModel, pasting_to_oa, urn_to_partition_logic
 from .testspace import PartitionTestSpace
+
+# each table-like source kind's pasting into a quasi-orthoalgebra
+TO_TABLE = {
+    "greechie": from_greechie,
+    "partition_logic": pasting_to_oa,
+    "urn": lambda urn: pasting_to_oa(urn_to_partition_logic(urn)),
+    "atlas": atlas_to_quasi_oa,
+}
 
 
 @dataclass(frozen=True)
@@ -39,23 +47,6 @@ def _pl(points, parts):
         points.split(),
         [[frozenset(c.split()) for c in p.split("|")] for p in parts],
     )
-
-
-def _mealy_table(points, partitions, rows):
-    pl = _pl(points, partitions)
-    states = pl.ground
-    inputs = []
-    delta = {}
-    lam = {}
-    for part, row in zip(pl.partitions, rows):
-        symbol = "|".join(",".join(sorted(c, key=str)) for c in part)
-        inputs.append(symbol)
-        for q, out in zip(states, row):
-            delta[(q, symbol)] = states[0]
-            lam[(q, symbol)] = str(out)
-    width = max(len(p) for p in pl.partitions)
-    outputs = [str(i) for i in range(1, width + 1)]
-    return MealyAutomaton(states, inputs, outputs, delta, lam)
 
 
 def _build():
@@ -131,57 +122,39 @@ def _build():
         ),
         "four ball types under three color filters; models the triangle logic",
     )
+    wright = _pl("1 2 3 4", ["1 | 2 | 3 4", "2 | 3 | 1 4", "1 | 3 | 2 4"])
+    fig12 = _pl(
+        "1 2 3 4 5 6",
+        [
+            "1 2 | 3 4 6 | 5",
+            "5 | 1 2 3 4 | 6",
+            "1 2 | 3 4 5 | 6",
+            "6 | 1 3 5 | 2 4",
+            "2 4 | 1 3 6 | 5",
+        ],
+    )
     add(
         "pl-wright",
         "partition_logic",
-        _pl("1 2 3 4", ["1 | 2 | 3 4", "2 | 3 | 1 4", "1 | 3 | 2 4"]),
+        wright,
         "three partitions of four points; pastes to the triangle logic",
     )
     add(
         "pl-fig12",
         "partition_logic",
-        _pl(
-            "1 2 3 4 5 6",
-            [
-                "1 2 | 3 4 6 | 5",
-                "5 | 1 2 3 4 | 6",
-                "1 2 | 3 4 5 | 6",
-                "6 | 1 3 5 | 2 4",
-                "2 4 | 1 3 6 | 5",
-            ],
-        ),
+        fig12,
         "five partitions of six points; pastes to the fig12 logic",
     )
     add(
         "mealy-wright",
         "automaton",
-        _mealy_table(
-            "1 2 3 4",
-            ["1 | 2 | 3 4", "2 | 3 | 1 4", "1 | 3 | 2 4"],
-            [(1, 2, 3, 3), (3, 1, 2, 3), (1, 3, 2, 3)],
-        ),
+        partition_logic_to_mealy(wright),
         "four-state Mealy machine whose experiments realize the triangle logic",
     )
     add(
         "mealy-fig12",
         "automaton",
-        _mealy_table(
-            "1 2 3 4 5 6",
-            [
-                "1 2 | 3 4 6 | 5",
-                "5 | 1 2 3 4 | 6",
-                "1 2 | 3 4 5 | 6",
-                "6 | 1 3 5 | 2 4",
-                "2 4 | 1 3 6 | 5",
-            ],
-            [
-                (1, 1, 2, 2, 3, 2),
-                (2, 2, 2, 2, 1, 3),
-                (1, 1, 2, 2, 2, 3),
-                (2, 3, 2, 3, 2, 1),
-                (2, 1, 2, 1, 3, 2),
-            ],
-        ),
+        partition_logic_to_mealy(fig12),
         "six-state Mealy machine whose experiments realize the fig12 logic",
     )
     add(
@@ -245,14 +218,9 @@ def get(entry_id):
 
 def as_table(entry):
     """Paste a table-like entry into a quasi-orthoalgebra."""
-    if entry.kind == "greechie":
-        return from_greechie(entry.payload)
-    if entry.kind == "partition_logic":
-        return pasting_to_oa(entry.payload)
-    if entry.kind == "urn":
-        return pasting_to_oa(urn_to_partition_logic(entry.payload))
-    if entry.kind == "atlas":
-        return atlas_to_quasi_oa(entry.payload)
-    raise StructureError(
-        "corpus entry %r (%s) does not define a table" % (entry.id, entry.kind)
-    )
+    build = TO_TABLE.get(entry.kind)
+    if build is None:
+        raise StructureError(
+            "corpus entry %r (%s) does not define a table" % (entry.id, entry.kind)
+        )
+    return build(entry.payload)

@@ -208,22 +208,28 @@ def isomorphic(t1, t2):
                 return False
         return True
 
-    def extend(k):
-        if k == len(todo):
-            return _verify_mapping(t1, t2, mapping)
-        a = todo[k]
-        for b in by_sig2[sig1[a]]:
-            if b in used or not consistent(a, b):
-                continue
-            mapping[a] = b
-            used.add(b)
-            if extend(k + 1):
-                return True
-            del mapping[a]
-            used.discard(b)
-        return False
+    def options(a):
+        return (b for b in by_sig2[sig1[a]] if b not in used and consistent(a, b))
 
-    if not extend(0):
+    # one candidate iterator per assigned variable: an explicit stack, so
+    # the depth is not bounded by the interpreter's recursion limit
+    stack = [options(todo[0])] if todo else []
+    while stack:
+        a = todo[len(stack) - 1]
+        if a in mapping:
+            used.discard(mapping.pop(a))
+        b = next(stack[-1], None)
+        if b is None:
+            stack.pop()
+            continue
+        mapping[a] = b
+        used.add(b)
+        if len(stack) < len(todo):
+            stack.append(options(todo[len(stack)]))
+        elif _verify_mapping(t1, t2, mapping):
+            break
+    # the stack is left non-empty only by a verified full mapping
+    if not stack and (todo or not _verify_mapping(t1, t2, mapping)):
         return None
     el1, el2 = t1.elements, t2.elements
     return Isomorphism({el1[a]: el2[b] for a, b in mapping.items()})

@@ -246,3 +246,19 @@ def test_dot_greechie_from_diagram():
     dot = render_dot(corpus_entry("firefly").payload, "greechie")
     assert dot.startswith("graph greechie {")
     assert '"n"' in dot
+
+
+def test_iso_of_a_thousand_element_loop_has_no_traceback(tmp_path):
+    # L_260: 260 three-atom blocks in a loop, 1,042 elements; the search
+    # assigns one element per level, deeper than the recursion limit
+    k = 260
+    atoms = ["a%d" % i for i in range(2 * k)]
+    lines = ["atoms: " + " ".join(atoms)]
+    for i in range(k):
+        block = (atoms[2 * i], atoms[2 * i + 1], atoms[(2 * i + 2) % (2 * k)])
+        lines.append("block: " + " ".join(block))
+    src = tmp_path / "loop.txt"
+    src.write_text("\n".join(lines) + "\n")
+    report = cli(["iso", str(src), str(src)])
+    assert report.status == 0, report.text
+    assert len(report.result["mapping"]) == 4 * k + 2

@@ -74,6 +74,19 @@ def test_urn_round_trip():
     assert again.visible[("1", "red")] == "l"
 
 
+def test_urn_repeated_header_is_rejected():
+    text = "balls: 1 2\ncolors: red\nball: 1 x\nballs: 1\nball: 2 y\n"
+    with pytest.raises(P.ParseError, match="^line 4: second balls line$"):
+        P.parse("urn", text)
+    with pytest.raises(P.ParseError, match="^line 3: second colors line$"):
+        P.parse("urn", "balls: 1\ncolors: red\ncolors: green\nball: 1 x\n")
+
+
+def test_urn_missing_colors_line_is_rejected():
+    with pytest.raises(P.ParseError, match="^missing colors line$"):
+        P.parse("urn", "balls: 1\nball: 1\n")
+
+
 def test_automaton_round_trip():
     m = corpus_entry("mealy-wright").payload
     text = P.serialize(m)
