@@ -1,6 +1,7 @@
 """Moore/Mealy machines, preset experiments, and automaton logics."""
 
 import itertools
+from operator import add
 
 from .errors import StructureError
 from .partition import PartitionLogic
@@ -99,21 +100,60 @@ def run(machine, q0, word, include_initial=False):
     return tuple(out)
 
 
+def _steps(machine, word):
+    """The step of each symbol: successor index and output id of every state.
+
+    A Mealy step emits lambda(q, a), a Moore step the output lambda(delta(q, a))
+    of the state it enters.  Output ids are multiples of the state count, so
+    an output id plus a class id below it is one int key per state.
+    """
+    states = machine.states
+    index = {q: i for i, q in enumerate(states)}
+    out_id = {o: k * len(states) for k, o in enumerate(machine.outputs)}
+    # look the pairs up state by state, the order in which a machine text
+    # lists them, so the lookups walk the parsed dicts in memory order
+    keys = list(itertools.product(states, word))
+    targets = list(map(machine.delta.__getitem__, keys))
+    emitted = map(machine.lam.__getitem__, keys if machine.kind == "mealy" else targets)
+    succ = list(map(index.__getitem__, targets))
+    out = list(map(out_id.__getitem__, emitted))
+    m = len(word)
+    return [(succ[j::m], out[j::m]) for j in range(m)]
+
+
+def _refine(step, classes):
+    """Class ids of a.w from the step of a and the class ids of w.
+
+    Two states share a class of a.w when a emits the same output from both
+    and leads them into one class of w.  Classes are numbered by their first
+    state in declaration order, so equal partitions get equal tuples.
+    """
+    succ, out = step
+    ids = {}
+    keys = map(add, out, map(classes.__getitem__, succ))
+    return tuple([ids.setdefault(k, len(ids)) for k in keys])
+
+
+def _cells(states, classes):
+    """The partition of the states that a tuple of class ids names."""
+    cells = {}
+    for q, c in zip(states, classes):
+        cells.setdefault(c, []).append(q)
+    return tuple(frozenset(g) for g in cells.values())
+
+
 def experiment_partition(machine, word):
     """Group states indistinguishable by the word's output sequence.
 
     Cells are ordered by their first state in declaration order.
     """
-    groups = {}
-    for q in machine.states:
-        groups.setdefault(run(machine, q, word), []).append(q)
-    return tuple(frozenset(g) for g in groups.values())
-
-
-def _words(inputs, max_len):
-    for length in range(1, max_len + 1):
-        for w in itertools.product(inputs, repeat=length):
-            yield w
+    for a in word:
+        if a not in machine.inputs:
+            raise StructureError("symbol %r not in the input alphabet" % (a,))
+    classes = (0,) * len(machine.states)
+    for step in reversed(_steps(machine, word)):
+        classes = _refine(step, classes)
+    return _cells(machine.states, classes)
 
 
 def propositional_calculus(machine, max_word_length):
@@ -121,14 +161,23 @@ def propositional_calculus(machine, max_word_length):
 
     Experiments are enumerated length-lexicographically over the input
     alphabet in declaration order; duplicate partitions keep their first
-    occurrence.
+    occurrence.  The partition of a.w depends only on a and the partition
+    of w, so level l + 1 applies each input, in order, to the distinct
+    partitions of level l in order of first occurrence.  Once a level adds
+    no new partition, no later level can, and the search stops.
     """
     if max_word_length < 1:
         raise StructureError("max_word_length must be at least 1")
-    partitions = []
-    for w in _words(machine.inputs, max_word_length):
-        partitions.append(experiment_partition(machine, w))
-    return PartitionLogic(machine.states, partitions)
+    steps = _steps(machine, machine.inputs)
+    # level 0 is the empty word, whose partition has one cell
+    level = dict.fromkeys([(0,) * len(machine.states)])
+    found = {}
+    for _ in range(max_word_length):
+        level = dict.fromkeys(_refine(s, c) for s in steps for c in level)
+        if level.keys() <= found.keys():
+            break
+        found.update(level)
+    return PartitionLogic(machine.states, [_cells(machine.states, c) for c in found])
 
 
 def partition_logic_to_mealy(pl):

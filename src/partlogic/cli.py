@@ -7,6 +7,7 @@ leading keyword.  Exit codes: 0 success/property-true, 1 property-false
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -422,10 +423,18 @@ def main(argv=None):
     argv = list(sys.argv[1:] if argv is None else argv)
     report = cli(argv)
     use_json = "--json" in argv
-    if use_json:
-        print(report.to_json())
-    elif report.text:
-        print(report.text)
+    try:
+        if use_json:
+            print(report.to_json())
+        elif report.text:
+            print(report.text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader left early; send the rest, and the flush at exit, to
+        # devnull so that no traceback follows
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     return report.status
 
 

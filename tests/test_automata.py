@@ -4,6 +4,7 @@ import pytest
 
 import partlogic as P
 from conftest import corpus_entry
+from test_pasting_oracle import loop_diagram
 
 fs = frozenset
 
@@ -126,6 +127,25 @@ def test_word_length_bound_is_monotone():
         current = {fs(part) for part in pc.partitions}
         assert seen <= current
         seen = current
+
+
+def test_search_stops_at_the_first_level_adding_nothing():
+    # 3^40 words of length 40; a level adding no partition ends the search
+    m = mealy_wright()
+    assert (
+        P.propositional_calculus(m, 40).partitions
+        == P.propositional_calculus(m, 2).partitions
+    )
+
+
+def test_l14_realization_adds_nothing_at_length_two():
+    # 843 states and 43 inputs; 1,849 words of length 2
+    pl = P.oa_to_partition_logic(P.from_greechie(loop_diagram(14)))
+    m = P.partition_logic_to_mealy(pl)
+    assert (len(m.states), len(m.inputs)) == (843, 43)
+    one = P.propositional_calculus(m, 1).partitions
+    assert len(one) == 43
+    assert P.propositional_calculus(m, 2).partitions == one
 
 
 def test_calculus_requires_positive_length():

@@ -1,6 +1,10 @@
 """Command-line behavior: exits, reports, JSON round trips, DOT output."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import partlogic as P
 from partlogic.cli import Report, cli, main
@@ -262,3 +266,30 @@ def test_iso_of_a_thousand_element_loop_has_no_traceback(tmp_path):
     report = cli(["iso", str(src), str(src)])
     assert report.status == 0, report.text
     assert len(report.result["mapping"]) == 4 * k + 2
+
+
+def test_stdout_closed_early_gives_no_traceback(tmp_path):
+    # the realization machine of 300 points and two partitions is about
+    # 1 MB of text, far more than a pipe buffers, so printing it meets the
+    # closed pipe
+    points = ["p%d" % i for i in range(300)]
+    src = tmp_path / "pl.txt"
+    src.write_text(
+        P.serialize(P.PartitionLogic(points, [[points[:7], points[7:]], [points[:-1], points[-1:]]]))
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(__file__).resolve().parents[1] / "src"), env.get("PYTHONPATH", "")]
+    )
+    with subprocess.Popen(
+        [sys.executable, "-m", "partlogic", "to-automaton", str(src)],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    ) as proc:
+        assert proc.stdout.read(100).startswith(b"states: ")
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=60) == 0
+    assert "Traceback" not in err
+    assert "BrokenPipeError" not in err
