@@ -1,76 +1,145 @@
 """Moore/Mealy machines, preset experiments, and automaton logics."""
 
 import itertools
+from functools import cached_property
 from operator import add
+from types import MappingProxyType
 
 from .errors import StructureError
 from .partition import PartitionLogic
 
 
-def _check_declared(machine):
-    """Raise unless every transition enters and every output is declared."""
-    states = set(machine.states)
-    outputs = set(machine.outputs)
-    for (q, a), target in machine.delta.items():
-        if target not in states:
-            raise StructureError(
-                "transition (%r, %r) enters undeclared state %r" % (q, a, target)
-            )
-    for where, out in machine.lam.items():
-        if out not in outputs:
-            raise StructureError("output %r of %r is not declared" % (out, where))
+class _Automaton:
+    """A machine stored as its step table.
+
+    `succ[j][i]` is the index of the state that input j leads state i into.
+    A Mealy machine's `out[j][i]` is the index of the output it emits on that
+    step; a Moore machine's `out[i]` is the index of the output of state i.
+    `delta` and `lam` are read-only label views of the table.
+    """
+
+    def _set(self, states, inputs, outputs, succ, out):
+        self.states = tuple(states)
+        self.inputs = tuple(inputs)
+        self.outputs = tuple(outputs)
+        self.succ = succ
+        self.out = out
+
+    @classmethod
+    def _from_table(cls, states, inputs, outputs, succ, out):
+        """A machine from a table already known to be total and declared."""
+        machine = cls.__new__(cls)
+        machine._set(states, inputs, outputs, succ, out)
+        return machine
+
+    def _build(self, states, inputs, outputs, delta, lam):
+        """Raise unless every transition enters and every output is declared,
+        then set the table from the total label dicts."""
+        index = {q: i for i, q in enumerate(states)}
+        out_index = {o: k for k, o in enumerate(outputs)}
+        for (q, a), target in delta.items():
+            if target not in index:
+                raise StructureError(
+                    "transition (%r, %r) enters undeclared state %r" % (q, a, target)
+                )
+        for where, out in lam.items():
+            if out not in out_index:
+                raise StructureError("output %r of %r is not declared" % (out, where))
+        # look the pairs up state by state, the order in which a machine
+        # text lists them, so the lookups walk the given dicts in memory order
+        keys = list(itertools.product(states, inputs))
+        m = len(inputs)
+        succ = list(map(index.__getitem__, map(delta.__getitem__, keys)))
+        if self.kind == "mealy":
+            out = list(map(out_index.__getitem__, map(lam.__getitem__, keys)))
+            out = [out[j::m] for j in range(m)]
+        else:
+            out = [out_index[lam[q]] for q in states]
+        self._set(states, inputs, outputs, [succ[j::m] for j in range(m)], out)
+
+    @cached_property
+    def delta(self):
+        states = self.states
+        return MappingProxyType({
+            (q, a): states[row[i]]
+            for i, q in enumerate(states)
+            for a, row in zip(self.inputs, self.succ)
+        })
+
+    @cached_property
+    def lam(self):
+        outputs = self.outputs
+        if self.kind == "moore":
+            return MappingProxyType({q: outputs[o] for q, o in zip(self.states, self.out)})
+        return MappingProxyType({
+            (q, a): outputs[row[i]]
+            for i, q in enumerate(self.states)
+            for a, row in zip(self.inputs, self.out)
+        })
+
+    @cached_property
+    def _keyed(self):
+        """The step of each input: successor index and output key of every state.
+
+        A Mealy step emits lambda(q, a), a Moore step the output
+        lambda(delta(q, a)) of the state it enters.  Output keys are output
+        indices times the state count, so an output key plus a class id
+        below it is one int key per state.
+        """
+        n = len(self.states)
+        if self.kind == "mealy":
+            return [(s, [o * n for o in row]) for s, row in zip(self.succ, self.out)]
+        keys = [o * n for o in self.out]
+        return [(s, list(map(keys.__getitem__, s))) for s in self.succ]
+
+    def __repr__(self):
+        return "%s(%d states, %d inputs)" % (
+            type(self).__name__,
+            len(self.states),
+            len(self.inputs),
+        )
 
 
-class MooreAutomaton:
+class MooreAutomaton(_Automaton):
     """Finite transducer emitting one output per state."""
 
     kind = "moore"
 
     def __init__(self, states, inputs, outputs, delta, lam):
-        self.states = tuple(states)
-        self.inputs = tuple(inputs)
-        self.outputs = tuple(outputs)
-        self.delta = dict(delta)
-        self.lam = dict(lam)
-        for q in self.states:
-            if q not in self.lam:
+        states, inputs, outputs = tuple(states), tuple(inputs), tuple(outputs)
+        delta, lam = dict(delta), dict(lam)
+        for q in states:
+            if q not in lam:
                 raise StructureError("no output for state %r" % (q,))
-            for a in self.inputs:
-                if (q, a) not in self.delta:
+            for a in inputs:
+                if (q, a) not in delta:
                     raise StructureError("no transition for (%r, %r)" % (q, a))
-        _check_declared(self)
-
-    def __repr__(self):
-        return "MooreAutomaton(%d states, %d inputs)" % (
-            len(self.states),
-            len(self.inputs),
-        )
+        self._build(states, inputs, outputs, delta, lam)
 
 
-class MealyAutomaton:
+class MealyAutomaton(_Automaton):
     """Finite transducer emitting one output per transition."""
 
     kind = "mealy"
 
     def __init__(self, states, inputs, outputs, delta, lam):
-        self.states = tuple(states)
-        self.inputs = tuple(inputs)
-        self.outputs = tuple(outputs)
-        self.delta = dict(delta)
-        self.lam = dict(lam)
-        for q in self.states:
-            for a in self.inputs:
-                if (q, a) not in self.delta:
+        states, inputs, outputs = tuple(states), tuple(inputs), tuple(outputs)
+        delta, lam = dict(delta), dict(lam)
+        for q in states:
+            for a in inputs:
+                if (q, a) not in delta:
                     raise StructureError("no transition for (%r, %r)" % (q, a))
-                if (q, a) not in self.lam:
+                if (q, a) not in lam:
                     raise StructureError("no output for (%r, %r)" % (q, a))
-        _check_declared(self)
+        self._build(states, inputs, outputs, delta, lam)
 
-    def __repr__(self):
-        return "MealyAutomaton(%d states, %d inputs)" % (
-            len(self.states),
-            len(self.inputs),
-        )
+
+def _columns(machine, word):
+    """The input index of each symbol of the word."""
+    for a in word:
+        if a not in machine.inputs:
+            raise StructureError("symbol %r not in the input alphabet" % (a,))
+    return [machine.inputs.index(a) for a in word]
 
 
 def run(machine, q0, word, include_initial=False):
@@ -83,42 +152,20 @@ def run(machine, q0, word, include_initial=False):
     """
     if q0 not in machine.states:
         raise StructureError("unknown initial state %r" % (q0,))
-    for a in word:
-        if a not in machine.inputs:
-            raise StructureError("symbol %r not in the input alphabet" % (a,))
-    out = []
+    columns = _columns(machine, word)
+    q = machine.states.index(q0)
+    outputs, out = machine.outputs, machine.out
+    emitted = []
     if machine.kind == "moore" and include_initial:
-        out.append(machine.lam[q0])
-    q = q0
-    for a in word:
+        emitted.append(outputs[out[q]])
+    for j in columns:
         if machine.kind == "mealy":
-            out.append(machine.lam[(q, a)])
-            q = machine.delta[(q, a)]
+            emitted.append(outputs[out[j][q]])
+            q = machine.succ[j][q]
         else:
-            q = machine.delta[(q, a)]
-            out.append(machine.lam[q])
-    return tuple(out)
-
-
-def _steps(machine, word):
-    """The step of each symbol: successor index and output id of every state.
-
-    A Mealy step emits lambda(q, a), a Moore step the output lambda(delta(q, a))
-    of the state it enters.  Output ids are multiples of the state count, so
-    an output id plus a class id below it is one int key per state.
-    """
-    states = machine.states
-    index = {q: i for i, q in enumerate(states)}
-    out_id = {o: k * len(states) for k, o in enumerate(machine.outputs)}
-    # look the pairs up state by state, the order in which a machine text
-    # lists them, so the lookups walk the parsed dicts in memory order
-    keys = list(itertools.product(states, word))
-    targets = list(map(machine.delta.__getitem__, keys))
-    emitted = map(machine.lam.__getitem__, keys if machine.kind == "mealy" else targets)
-    succ = list(map(index.__getitem__, targets))
-    out = list(map(out_id.__getitem__, emitted))
-    m = len(word)
-    return [(succ[j::m], out[j::m]) for j in range(m)]
+            q = machine.succ[j][q]
+            emitted.append(outputs[out[q]])
+    return tuple(emitted)
 
 
 def _refine(step, classes):
@@ -147,32 +194,32 @@ def experiment_partition(machine, word):
 
     Cells are ordered by their first state in declaration order.
     """
-    for a in word:
-        if a not in machine.inputs:
-            raise StructureError("symbol %r not in the input alphabet" % (a,))
     classes = (0,) * len(machine.states)
-    for step in reversed(_steps(machine, word)):
-        classes = _refine(step, classes)
+    for j in reversed(_columns(machine, word)):
+        classes = _refine(machine._keyed[j], classes)
     return _cells(machine.states, classes)
 
 
 def propositional_calculus(machine, max_word_length):
     """Partition logic of all experiments up to the given word length.
 
-    Experiments are enumerated length-lexicographically over the input
-    alphabet in declaration order; duplicate partitions keep their first
-    occurrence.  The partition of a.w depends only on a and the partition
-    of w, so level l + 1 applies each input, in order, to the distinct
-    partitions of level l in order of first occurrence.  Once a level adds
-    no new partition, no later level can, and the search stops.
+    A length of None means all words.  Experiments are enumerated
+    length-lexicographically over the input alphabet in declaration order;
+    duplicate partitions keep their first occurrence.  The partition of a.w
+    depends only on a and the partition of w, so level l + 1 applies each
+    input, in order, to the distinct partitions of level l in order of first
+    occurrence.  Once a level adds no new partition, no later level can, and
+    the search stops; as the states have finitely many partitions, it stops
+    without a bound too.
     """
-    if max_word_length < 1:
+    if max_word_length is not None and max_word_length < 1:
         raise StructureError("max_word_length must be at least 1")
-    steps = _steps(machine, machine.inputs)
+    steps = machine._keyed
     # level 0 is the empty word, whose partition has one cell
     level = dict.fromkeys([(0,) * len(machine.states)])
     found = {}
-    for _ in range(max_word_length):
+    lengths = itertools.count() if max_word_length is None else range(max_word_length)
+    for _ in lengths:
         level = dict.fromkeys(_refine(s, c) for s in steps for c in level)
         if level.keys() <= found.keys():
             break
@@ -187,19 +234,19 @@ def partition_logic_to_mealy(pl):
     1-based cell indices in the partition's stored cell order, and every
     transition enters the first ground point.
     """
-    sink = pl.ground[0]
     inputs = []
-    delta = {}
-    lam = {}
-    max_cells = 0
+    # keyed by symbol: two partitions spell one symbol only when point names
+    # hold ',', and then both columns take the last one's outputs, as the
+    # (q, symbol) keys of the lam view do
+    columns = {}
     for part in pl.partitions:
         symbol = "|".join(",".join(sorted(c, key=str)) for c in part)
         inputs.append(symbol)
-        max_cells = max(max_cells, len(part))
-        for q in pl.ground:
-            delta[(q, symbol)] = sink
-            for i, cell in enumerate(part, start=1):
-                if q in cell:
-                    lam[(q, symbol)] = str(i)
-    outputs = [str(i) for i in range(1, max_cells + 1)]
-    return MealyAutomaton(pl.ground, inputs, outputs, delta, lam)
+        cell_of = {q: i for i, cell in enumerate(part) for q in cell}
+        columns[symbol] = [cell_of[q] for q in pl.ground]
+    width = max(map(len, pl.partitions))
+    outputs = [str(i) for i in range(1, width + 1)]
+    # every transition enters the first ground point, index 0
+    sink = [0] * len(pl.ground)
+    out = [columns[a] for a in inputs]
+    return MealyAutomaton._from_table(pl.ground, inputs, outputs, [sink] * len(inputs), out)

@@ -61,10 +61,13 @@ COMMANDS = (
 
 @dataclass
 class Report:
+    """One command's outcome; stdout is `text` followed by `end`."""
+
     command: list
     status: int
     result: dict
     text: str
+    end: str = "\n"
 
     def to_json(self):
         return json.dumps(
@@ -245,7 +248,8 @@ def _pl_result(pl):
         "partitions": [_cells_json(p) for p in pl.partitions],
         "text": text,
     }
-    return 0, result, text.rstrip("\n")
+    # a serialized text ends in its newline already; print it as it is
+    return 0, result, text, ""
 
 
 def _cmd_to_pl(args):
@@ -257,7 +261,7 @@ def _cmd_to_automaton(args):
     pl = _to_partition_logic(kind, payload, args.source)
     machine = partition_logic_to_mealy(pl)
     text = serialize(machine)
-    return 0, {"text": text}, text.rstrip("\n")
+    return 0, {"text": text}, text, ""
 
 
 def _cmd_from_automaton(args):
@@ -323,7 +327,7 @@ def _cmd_complete(args):
     added = len(completed.tests) - len(payload.tests)
     text = serialize(completed)
     result = {"added": added, "tests": len(completed.tests), "text": text}
-    return 0, result, text.rstrip("\n")
+    return 0, result, text, ""
 
 
 def _cmd_dot(args):
@@ -362,6 +366,16 @@ _HANDLERS = {
 }
 
 
+def _word_length(token):
+    """An int word length bound, or None for 'all'."""
+    if token == "all":
+        return None
+    try:
+        return int(token)
+    except ValueError:
+        raise argparse.ArgumentTypeError("expected an integer or 'all', got %r" % token)
+
+
 def _parser():
     p = argparse.ArgumentParser(
         prog="partlogic",
@@ -387,9 +401,9 @@ def _parser():
     sp = source_cmd("from-automaton", "partition logic of a machine's experiments")
     sp.add_argument(
         "--max-word-length",
-        type=int,
+        type=_word_length,
         default=2,
-        help="experiment word length bound (default 2)",
+        help="experiment word length bound, or 'all' for every word (default 2)",
     )
     source_cmd("atlas", "verify an atlas, or chart a table by its blocks")
     source_cmd("testspace", "inspect a test space (validity, algebraicity, weights)")
@@ -411,12 +425,12 @@ def cli(argv):
         status = 0 if exc.code == 0 else 2
         return Report(list(argv), status, {"error": "usage"}, "")
     try:
-        status, result, text = _HANDLERS[args.cmd](args)
+        status, result, text, *end = _HANDLERS[args.cmd](args)
     except (ParseError, StructureError) as exc:
         return Report(list(argv), 2, {"error": str(exc)}, "error: %s" % exc)
     except LogicError as exc:
         return Report(list(argv), 1, {"error": str(exc)}, "error: %s" % exc)
-    return Report(list(argv), status, result, text)
+    return Report(list(argv), status, result, text, *end)
 
 
 def main(argv=None):
@@ -427,7 +441,7 @@ def main(argv=None):
         if use_json:
             print(report.to_json())
         elif report.text:
-            print(report.text)
+            print(report.text, end=report.end)
         sys.stdout.flush()
     except BrokenPipeError:
         # the reader left early; send the rest, and the flush at exit, to

@@ -5,6 +5,8 @@ canonical form (atoms, cells, and partitions sorted).  Parsing preserves
 the given cell order, which matters for automaton output indices.
 """
 
+import re
+
 from .atlas import BooleanAtlas, BooleanChart
 from .automata import MealyAutomaton, MooreAutomaton
 from .errors import ParseError
@@ -218,16 +220,81 @@ _PARSERS = {
     "pts": _parse_pts,
 }
 
+_MACHINE = re.compile(r"\s*states:")
+
+
+def _read_machine(text, kind=None):
+    """Read a machine text in one pass straight into its step table.
+
+    Takes the text only when every nonblank line is whole: the states,
+    inputs and outputs lines first, in that order, each of distinct names
+    free of '#' and '->'; then delta and lambda lines of exactly their
+    words, naming declared states, inputs and outputs, each entry once and
+    none missing.  The kind, unless given, is that of the first lambda line.
+    Returns None for any other text; the general path then builds the same
+    machine, or raises the message for the line at fault.
+    """
+    if not _MACHINE.match(text):
+        return None
+    rows = filter(None, map(str.split, text.splitlines()))
+    names = []
+    for key in ("states:", "inputs:", "outputs:"):
+        words = next(rows, [None])
+        if words[0] != key or len(set(words)) != len(words):
+            return None
+        if any("#" in w or "->" in w for w in words):
+            return None
+        names.append(words[1:])
+    states, inputs, outputs = names
+    state, column, output = ({x: i for i, x in enumerate(xs)} for xs in names)
+    n = len(states)
+    succ = [[None] * n for _ in inputs]
+    moore = {"moore": True, "mealy": False}.get(kind)
+    out = None
+    try:
+        for words in rows:
+            if words[0] == "delta:" and len(words) == 5 and words[3] == "->":
+                row, i, value = succ[column[words[2]]], state[words[1]], state[words[4]]
+            elif words[0] != "lambda:":
+                return None
+            else:
+                if moore is None:
+                    moore = len(words) == 4
+                if out is None:
+                    out = [None] * n if moore else [[None] * n for _ in inputs]
+                if moore and len(words) == 4 and words[2] == "->":
+                    row, i, value = out, state[words[1]], output[words[3]]
+                elif not moore and len(words) == 5 and words[3] == "->":
+                    row, i, value = out[column[words[2]]], state[words[1]], output[words[4]]
+                else:
+                    return None
+            if row[i] is not None:
+                return None
+            row[i] = value
+    except KeyError:
+        return None
+    if out is None or any(None in row for row in succ + ([out] if moore else out)):
+        return None
+    cls = MooreAutomaton if moore else MealyAutomaton
+    return cls._from_table(states, inputs, outputs, succ, out)
+
 
 def parse(kind, text):
     """Parse text in the named kind's line format."""
     if kind not in _PARSERS:
         raise ParseError("unknown kind %r" % kind)
+    if kind in ("mealy", "moore"):
+        machine = _read_machine(text, kind)
+        if machine is not None:
+            return machine
     return _PARSERS[kind](_lines(text))
 
 
 def parse_any(text):
     """Detect the kind from the text, then parse; returns (kind, structure)."""
+    machine = _read_machine(text)
+    if machine is not None:
+        return machine.kind, machine
     lines = _lines(text)
     kind = _kind(lines)
     return kind, _PARSERS[kind](lines)
@@ -283,23 +350,23 @@ def serialize(structure):
         lines.append("")
         return "\n".join(lines)
     if isinstance(structure, (MealyAutomaton, MooreAutomaton)):
+        states, inputs, outputs = structure.states, structure.inputs, structure.outputs
+        out = structure.out
         lines = [
-            "states: " + " ".join(structure.states),
-            "inputs: " + " ".join(structure.inputs),
-            "outputs: " + " ".join(structure.outputs),
+            "states: " + " ".join(states),
+            "inputs: " + " ".join(inputs),
+            "outputs: " + " ".join(outputs),
         ]
-        for q in structure.states:
-            for a in structure.inputs:
-                lines.append("delta: %s %s -> %s" % (q, a, structure.delta[(q, a)]))
+        for i, q in enumerate(states):
+            for a, row in zip(inputs, structure.succ):
+                lines.append("delta: %s %s -> %s" % (q, a, states[row[i]]))
         if structure.kind == "moore":
-            for q in structure.states:
-                lines.append("lambda: %s -> %s" % (q, structure.lam[q]))
+            for q, o in zip(states, out):
+                lines.append("lambda: %s -> %s" % (q, outputs[o]))
         else:
-            for q in structure.states:
-                for a in structure.inputs:
-                    lines.append(
-                        "lambda: %s %s -> %s" % (q, a, structure.lam[(q, a)])
-                    )
+            for i, q in enumerate(states):
+                for a, row in zip(inputs, out):
+                    lines.append("lambda: %s %s -> %s" % (q, a, outputs[row[i]]))
         # an empty last line ends the text with a newline without copying
         # the whole text once more, as appending "\n" after the join would
         lines.append("")

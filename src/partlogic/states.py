@@ -28,6 +28,14 @@ class TwoValuedState:
         if any(b not in (0, 1) for b in self.bits):
             raise StructureError("state takes a value outside {0,1}")
 
+    @classmethod
+    def _of_bits(cls, table, bits):
+        """A state from a 0/1 tuple over the elements, known to be one."""
+        state = cls.__new__(cls)
+        state.table = table
+        state.bits = bits
+        return state
+
     def __call__(self, a):
         return self.bits[self.table.index(a)]
 
@@ -194,7 +202,7 @@ def enumerate_two_valued_states(table):
     if root is not None:
         search(0)
         undo(root)
-    return [TwoValuedState(table, bits) for bits in sorted(results)]
+    return [TwoValuedState._of_bits(table, bits) for bits in sorted(results)]
 
 
 def is_state(table, s):

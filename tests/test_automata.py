@@ -148,6 +148,11 @@ def test_l14_realization_adds_nothing_at_length_two():
     assert P.propositional_calculus(m, 2).partitions == one
 
 
+def test_all_words_equal_length_forty_on_mealy_wright():
+    m = mealy_wright()
+    assert P.propositional_calculus(m, None).partitions == P.propositional_calculus(m, 40).partitions
+
+
 def test_calculus_requires_positive_length():
     with pytest.raises(P.StructureError):
         P.propositional_calculus(mealy_wright(), 0)

@@ -10,16 +10,17 @@ import automata_oracle as oracle
 from test_pasting_oracle import loop_diagram
 
 
-def random_machine(rng):
+def random_machine(rng, max_states=12, max_inputs=4):
     """A Moore or Mealy machine of 1-12 states, 1-4 inputs and 1-3 outputs.
 
     A third of the machines send every transition into a random subset of
     the states, which leaves the others unreachable; another third make
-    about half the transitions self-loops.
+    about half the transitions self-loops.  Smaller bounds on the states
+    and inputs may be given.
     """
-    states = ["q%d" % i for i in range(rng.randint(1, 12))]
+    states = ["q%d" % i for i in range(rng.randint(1, max_states))]
     rng.shuffle(states)
-    inputs = ["a%d" % i for i in range(rng.randint(1, 4))]
+    inputs = ["a%d" % i for i in range(rng.randint(1, max_inputs))]
     outputs = ["y%d" % i for i in range(rng.randint(1, 3))]
     shape = rng.choice(["any", "subset", "self"])
     targets = rng.sample(states, rng.randint(1, len(states))) if shape == "subset" else states
@@ -86,3 +87,20 @@ def test_experiments_never_run_the_machine(monkeypatch):
     m = random_machine(random.Random(11))
     P.propositional_calculus(m, 3)
     P.experiment_partition(m, m.inputs * 2)
+
+
+def test_all_words_match_word_enumeration_past_the_stop():
+    # the oracle finds the first length whose words add no partition; all
+    # words must give what the words up to one length past it give
+    rng = random.Random(12)
+    stops = []
+    for _ in range(150):
+        m = random_machine(rng, max_states=6, max_inputs=3)
+        stop = 2
+        while oracle.propositional_calculus(m, stop).partitions != oracle.propositional_calculus(m, stop - 1).partitions:
+            stop += 1
+        stops.append(stop)
+        want = oracle.propositional_calculus(m, stop + 1).partitions
+        assert P.propositional_calculus(m, None).partitions == want, m
+    # some searches run several levels before they stop
+    assert max(stops) >= 5, stops

@@ -293,3 +293,13 @@ def test_stdout_closed_early_gives_no_traceback(tmp_path):
         assert proc.wait(timeout=60) == 0
     assert "Traceback" not in err
     assert "BrokenPipeError" not in err
+
+
+def test_from_automaton_over_all_words(tmp_path):
+    machine_file = tmp_path / "machine.txt"
+    machine_file.write_text(P.serialize(corpus_entry("mealy-fig12").payload))
+    argv = ["from-automaton", str(machine_file), "--max-word-length"]
+    every = cli(argv + ["all"])
+    assert every.status == 0
+    assert every.result == cli(argv + ["40"]).result
+    assert cli(argv + ["some"]).status == 2

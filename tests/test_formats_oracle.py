@@ -8,6 +8,12 @@ a repeated or missing `balls` or `colors` line, which the new reader
 rejects and the old one read (the last such line won).  Every CLI command
 on a sample of the mutated files must end in a report, never in an
 exception outside `LogicError`.
+
+Serialized seeded Moore and Mealy machines, plain, mutated the same way,
+and with comments, other spacing, glued keywords, repeated entries and
+names, unknown names and missing rows, check the one-pass machine reader
+against the old parsers too, both where it takes a text and where it hands
+the text to the general path.
 """
 
 import random
@@ -16,7 +22,8 @@ import formats_oracle as old
 from partlogic.cli import cli
 from partlogic.corpus import corpus
 from partlogic.errors import ParseError
-from partlogic.formats import parse_any, serialize
+from partlogic.formats import _read_machine, parse, parse_any, serialize
+from test_automata_oracle import random_machine
 from test_golden import COMMANDS
 
 TEXTS = [serialize(e.payload) for e in corpus()]
@@ -101,3 +108,109 @@ def test_cli_commands_on_mutated_files_end_in_a_report(tmp_path):
             argv = [command, str(src)] + ([str(src)] if command == "iso" else [])
             report = cli(argv)
             assert report.status in (0, 1, 2), (text, argv)
+
+
+def machine_texts(seed, count):
+    """Serialized seeded machines, Moore and Mealy alike."""
+    rng = random.Random(seed)
+    return [serialize(random_machine(rng)) for _ in range(count)]
+
+
+def _irregular(rng, text):
+    """A machine text with one change of a kind a hand-written text may show.
+
+    Returns the text and the name of the change; "arrow" glues '->' to its
+    neighbours.
+    """
+    lines = text.splitlines()
+    at = rng.randrange(len(lines))
+    words = lines[at].split()
+    op = rng.choice(
+        ["comment", "comment line", "spaces", "blank", "glued", "arrow",
+         "repeated pair", "repeated name", "repeated head", "unknown name",
+         "missing row", "head order"]
+    )
+    if op == "comment":
+        lines[at] += rng.choice([" # note", "#", " #"])
+    elif op == "comment line":
+        lines.insert(at, "# a comment")
+    elif op == "spaces":
+        lines[at] = rng.choice(["  ", "\t", ""]) + rng.choice(["   ", "\t"]).join(words) + rng.choice([" ", ""])
+    elif op == "blank":
+        lines.insert(at, rng.choice(["", "   "]))
+    elif op == "glued":
+        lines[at] = words[0] + " ".join(words[1:])
+    elif op == "arrow" and "->" in words:
+        k = words.index("->")
+        lines[at] = " ".join(words[: k - 1] + [words[k - 1] + "->" + words[k + 1]] + words[k + 2 :])
+    elif op == "repeated pair":
+        rows = [i for i, line in enumerate(lines) if "->" in line]
+        row = lines[rng.choice(rows)]
+        changed = row.rsplit(" ", 1)[0] + " " + rng.choice(words)
+        lines.insert(rng.randrange(3, len(lines) + 1), rng.choice([row, changed]))
+    elif op == "repeated name":
+        head = rng.randrange(3)
+        lines[head] += " " + rng.choice(lines[head].split()[1:] or ["x"])
+    elif op == "repeated head":
+        lines.insert(rng.randrange(len(lines) + 1), lines[rng.randrange(3)])
+    elif op == "unknown name" and len(words) > 1:
+        words[rng.randrange(1, len(words))] = "zz"
+        lines[at] = " ".join(words)
+    elif op == "missing row" and at >= 3:
+        del lines[at]
+    elif op == "head order":
+        lines[:3] = rng.sample(lines[:3], 3)
+    return "\n".join(lines) + "\n", op
+
+
+def _parse_outcome(kind, parse_kind, text):
+    try:
+        structure = parse_kind(kind, text)
+    except Exception as exc:  # compared, not hidden: any type must match
+        return type(exc).__name__, str(exc)
+    return "ok", serialize(structure)
+
+
+def _check_machine_text(text):
+    """The readers agree with the old parsers on one machine text.
+
+    Returns whether the one-pass reader took the text whole.
+    """
+    want = _outcome(old.parse_any, text)
+    assert _outcome(parse_any, text) == want, (text, want)
+    for kind in ("mealy", "moore"):
+        assert _parse_outcome(kind, parse, text) == _parse_outcome(kind, old.parse, text), (kind, text)
+    if want[0] == "ok":
+        m = parse_any(text)[1]
+        again = type(m)(m.states, m.inputs, m.outputs, m.delta, m.lam)
+        assert (again.succ, again.out) == (m.succ, m.out), text
+    return _read_machine(text) is not None
+
+
+def test_machine_texts_agree_with_the_old_parsers():
+    texts = machine_texts(2, 300)
+    taken = sum(map(_check_machine_text, texts))
+    # every serialized machine is read in one pass
+    assert taken == len(texts)
+    assert {text.splitlines()[-1].count(" ") for text in texts} == {3, 4}
+
+
+def test_irregular_machine_texts_agree_with_the_old_parsers():
+    rng = random.Random(3)
+    seen = {}
+    for text in machine_texts(4, 3000):
+        text, op = _irregular(rng, text)
+        taken = _check_machine_text(text)
+        seen.setdefault(op, set()).add(taken)
+    # each change is met, and spacing and blank lines stay on the one pass
+    assert len(seen) == 12
+    assert seen.pop("spaces") == seen.pop("blank") == {True}
+    assert all(False in both for both in seen.values()), seen
+
+
+def test_mutated_machine_texts_agree_with_the_old_parsers():
+    rng = random.Random(5)
+    outcomes = {True: 0, False: 0}
+    for text in machine_texts(6, 2000):
+        outcomes[_check_machine_text(_mutate(rng, text))] += 1
+    assert min(outcomes.values()) > 50, outcomes
