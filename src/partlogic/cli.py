@@ -22,9 +22,9 @@ from .errors import LogicError, ParseError, StructureError
 from .formats import parse_any, serialize
 from .oa import (
     blocks,
-    boolean_atoms,
     classify,
     format_label,
+    minimal_nonzero,
     verify_quasi_oa,
 )
 from .partition import (
@@ -218,7 +218,7 @@ def _cmd_blocks(args):
         "count": len(blks),
         "blocks": [[format_label(e) for e in blk] for blk in blks],
         "atoms": [
-            [format_label(a) for a in boolean_atoms(table, frozenset(blk))[0]]
+            [format_label(a) for a in minimal_nonzero(table, blk)]
             for blk in blks
         ],
     }

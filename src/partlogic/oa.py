@@ -358,26 +358,25 @@ def _closure(table, seed):
 
 
 def _boolean(table, subset):
-    """Atom indices and the subset-sum map when an index set is Boolean, else None.
+    """Atom indices and the subset sums when an index set is Boolean, else None.
 
     The test: the <=-minimal nonzero members p1..pk satisfy |subset| = 2^k
     and every member is the sum of exactly one subset of the p_i (summed in
-    a fixed order; all such sums must be defined).  The map sends each
-    subset of positions in mins to the index of its sum.
+    a fixed order; all such sums must be defined).  The sums are listed by
+    bitmask over the positions in mins, each adding its highest atom last.
     """
     rows = table.rows()
     mins = _minimal(table, sum(1 << i for i in subset))
-    k = len(mins)
-    if len(subset) != 2 ** k:
+    if len(subset) != 2 ** len(mins):
         return None
-    sums = {frozenset(): table.index(table.zero)}
-    for r in range(1, k + 1):
-        for combo in itertools.combinations(range(k), r):
-            s = rows[sums[frozenset(combo[:-1])]].get(mins[combo[-1]])
+    sums = [table.index(table.zero)]
+    for p in mins:
+        for m in range(len(sums)):
+            s = rows[sums[m]].get(p)
             if s is None:
                 return None
-            sums[frozenset(combo)] = s
-    if set(sums.values()) != set(subset):
+            sums.append(s)
+    if set(sums) != set(subset):
         return None
     return mins, sums
 
@@ -389,10 +388,8 @@ def boolean_atoms(table, subset):
         return None
     mins, sums = found
     el = table.elements
-    atom_sets = {
-        frozenset(el[mins[i]] for i in key): el[v] for key, v in sums.items()
-    }
-    return tuple(el[p] for p in mins), atom_sets
+    atoms = tuple(el[p] for p in mins)
+    return atoms, {key: el[v] for key, v in zip(subsets(atoms), sums)}
 
 
 def blocks(table):

@@ -185,23 +185,28 @@ def enumerate_two_valued_states(table):
         for j in trail:
             val[j] = None
 
-    def search(start):
-        i = start
+    def branch(i):
+        """The tries at the first unset index from i, bit 0 on top."""
         while i < n and val[i] is not None:
             i += 1
         if i == n:
             results.append(tuple(val))
-            return
-        for b in (0, 1):
-            trail = propagate([(i, b)])
-            if trail is not None:
-                search(i + 1)
-                undo(trail)
+            return []
+        return [(i, 1), (i, 0)]
 
     root = propagate([(idx(table.zero), 0), (idx(table.one), 1)])
     if root is not None:
-        search(0)
-        undo(root)
+        # (i, b) tries bit b at index i; (None, trail) undoes a try once
+        # every step above it is done
+        stack = [(None, root)] + branch(0)
+        while stack:
+            i, b = stack.pop()
+            if i is None:
+                undo(b)
+                continue
+            trail = propagate([(i, b)])
+            if trail is not None:
+                stack += [(None, trail)] + branch(i + 1)
     return [TwoValuedState._of_bits(table, bits) for bits in sorted(results)]
 
 

@@ -119,10 +119,7 @@ class TestSpace:
         """All subsets of tests, deduplicated, in (size, outcome) order."""
         seen = set()
         for t in self.tests:
-            members = sorted(t, key=self._key)
-            for r in range(len(members) + 1):
-                for combo in itertools.combinations(members, r):
-                    seen.add(frozenset(combo))
+            seen.update(subsets(t))
         return sorted(seen, key=self.event_key)
 
     def is_event(self, subset):

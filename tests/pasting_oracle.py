@@ -2,12 +2,14 @@
 
 Copied verbatim as test oracles for `from_greechie`, `pasting_to_oa`,
 `BooleanChart.from_cells`, `atlas_to_quasi_oa` and `pi_logic`; only
-`from_cells` is a plain function of the chart class here.
+`from_cells` is a plain function here, building the old `frozenset`-keyed
+chart of `atlas_oracle`.
 """
 
 import itertools
 from collections import defaultdict
 
+from atlas_oracle import BooleanChart
 from partlogic.errors import AlgebraicityError, PastingError, StructureError
 from partlogic.oa import FiniteQuasiOrthoalgebra, format_label, label_key
 from partlogic.testspace import is_algebraic
@@ -182,7 +184,7 @@ def pasting_to_oa(pl):
     )
 
 
-def from_cells(cls, cells):
+def from_cells(cells):
     """Chart generated by disjoint point-set cells; labels are unions."""
     cells = [frozenset(c) for c in cells]
     label = {}
@@ -190,7 +192,7 @@ def from_cells(cls, cells):
         for combo in itertools.combinations(cells, r):
             u = frozenset().union(*combo) if combo else frozenset()
             label[frozenset(combo)] = u
-    chart = cls(cells, label)
+    chart = BooleanChart(cells, label)
     return chart
 
 

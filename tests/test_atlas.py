@@ -35,13 +35,29 @@ def test_duplicate_charts_rejected():
 
 
 def test_label_collision_is_structural():
-    with pytest.raises(P.StructureError):
-        P.BooleanChart(("a", "b"), {
-            fs(): "0",
-            fs({"a"}): "x",
-            fs({"b"}): "x",
-            fs({"a", "b"}): "1",
-        })
+    with pytest.raises(P.StructureError, match="label collision inside a chart"):
+        P.BooleanChart(("a", "b"), ["0", "x", "x", "1"])
+
+
+def test_repeated_chart_atoms_are_structural():
+    with pytest.raises(P.StructureError, match="chart atoms repeat"):
+        P.BooleanChart(("a", "a"), ["0", "a", "b", "1"])
+
+
+def test_chart_labels_must_cover_every_mask():
+    for labels in (["0", "a", "1"], ["0", "a", "b", "1", "c"]):
+        with pytest.raises(P.StructureError, match="not total over atom subsets"):
+            P.BooleanChart(("a", "b"), labels)
+
+
+def test_chart_lists_labels_by_atom_mask():
+    # bit i of a mask is atoms[i]: d = a v b, e = a v c, f = b v c
+    chart = P.BooleanChart(("a", "b", "c"), ["0", "a", "b", "d", "c", "e", "f", "1"])
+    assert (chart.zero, chart.one) == ("0", "1")
+    assert (chart.meet("d", "e"), chart.join("a", "b")) == ("a", "d")
+    assert chart.complement("a") == "f"
+    assert chart.leq("a", "e") and not chart.leq("e", "a")
+    assert chart.members() == ["0", "a", "b", "c", "d", "e", "f", "1"]
 
 
 def test_manifold_checks():
@@ -96,7 +112,7 @@ def test_boolean_table_gives_single_chart():
     t = boolean_table(2)
     atlas = P.quasi_oa_to_atlas(t)
     assert len(atlas.charts) == 1
-    assert set(atlas.charts[0].label.values()) == set(t.elements)
+    assert set(atlas.charts[0].labels) == set(t.elements)
 
 
 def test_order_agrees_with_chart_order(nontransitive):

@@ -2,9 +2,13 @@
 
 import json
 import os
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
+
+import pytest
 
 import partlogic as P
 from partlogic.cli import Report, cli, main
@@ -268,6 +272,15 @@ def test_iso_of_a_thousand_element_loop_has_no_traceback(tmp_path):
     assert len(report.result["mapping"]) == 4 * k + 2
 
 
+def _src_env():
+    """The environment with this checkout's `src` first on PYTHONPATH."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(__file__).resolve().parents[1] / "src"), env.get("PYTHONPATH", "")]
+    )
+    return env
+
+
 def test_stdout_closed_early_gives_no_traceback(tmp_path):
     # the realization machine of 300 points and two partitions is about
     # 1 MB of text, far more than a pipe buffers, so printing it meets the
@@ -277,15 +290,11 @@ def test_stdout_closed_early_gives_no_traceback(tmp_path):
     src.write_text(
         P.serialize(P.PartitionLogic(points, [[points[:7], points[7:]], [points[:-1], points[-1:]]]))
     )
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(Path(__file__).resolve().parents[1] / "src"), env.get("PYTHONPATH", "")]
-    )
     with subprocess.Popen(
         [sys.executable, "-m", "partlogic", "to-automaton", str(src)],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
-        env=env,
+        env=_src_env(),
     ) as proc:
         assert proc.stdout.read(100).startswith(b"states: ")
         proc.stdout.close()
@@ -293,6 +302,36 @@ def test_stdout_closed_early_gives_no_traceback(tmp_path):
         assert proc.wait(timeout=60) == 0
     assert "Traceback" not in err
     assert "BrokenPipeError" not in err
+
+
+def _rss_mb(pid):
+    with open("/proc/%d/statm" % pid) as f:
+        return int(f.read().split()[1]) * os.sysconf("SC_PAGE_SIZE") / 2**20
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/statm"), reason="needs /proc")
+def test_states_on_a_long_loop_gives_no_traceback(tmp_path):
+    # the state search used to recurse once per branch and ended in a
+    # RecursionError on a loop of 1,200 blocks; the loop has far too many
+    # states to list, so the run is stopped once it holds 100 MB
+    k = 1200
+    atoms = ["x%d" % i for i in range(2 * k)]
+    blocks = [(atoms[2 * i], atoms[2 * i + 1], atoms[(2 * i + 2) % (2 * k)]) for i in range(k)]
+    src = tmp_path / "loop.txt"
+    src.write_text(P.serialize(P.GreechieDiagram(atoms, blocks)))
+    with subprocess.Popen(
+        [sys.executable, "-m", "partlogic", "states", str(src)],
+        stdout=subprocess.DEVNULL,
+        stderr=subprocess.PIPE,
+        env=_src_env(),
+    ) as proc:
+        deadline = time.monotonic() + 60
+        while proc.poll() is None and time.monotonic() < deadline and _rss_mb(proc.pid) < 100:
+            time.sleep(0.1)
+        proc.kill()
+        err = proc.stderr.read().decode()
+    assert "Traceback" not in err
+    assert proc.returncode == -signal.SIGKILL
 
 
 def test_from_automaton_over_all_words(tmp_path):

@@ -12,6 +12,7 @@ import random
 from collections import Counter
 
 import pasting_oracle as old
+from atlas_oracle import labels_by_mask
 import partlogic as P
 
 SEED = 20261018
@@ -127,29 +128,35 @@ def test_pasting_to_oa_matches_old_builder():
         assert isinstance(agree("pasting_to_oa", pl)[0], tuple)
 
 
-def random_labelled_atlas(rng):
+def random_labelled_charts(rng):
     """Charts over shared atom names whose other labels come from a small pool.
 
-    Two charts holding the same orthogonal pair often name its join
-    differently, which the table builder must reject.
+    Each chart is its atoms and its labels listed by atom mask.  Two charts
+    holding the same orthogonal pair often name its join differently, which
+    the table builder must reject.
     """
     charts = []
     for _ in range(rng.randint(1, 4)):
         atoms = rng.sample("abcde", rng.randint(1, 3))
         pool = iter(rng.sample(["u", "v", "w", "x", "y", "z"], 6))
-        label = {}
-        for r in range(len(atoms) + 1):
-            for combo in itertools.combinations(atoms, r):
-                if r == 0:
-                    label[frozenset()] = "0"
-                elif r == len(atoms):
-                    label[frozenset(combo)] = "1"
-                elif r == 1:
-                    label[frozenset(combo)] = combo[0]
-                else:
-                    label[frozenset(combo)] = next(pool)
-        charts.append(P.BooleanChart(atoms, label))
-    return P.BooleanAtlas(charts)
+        labels = []
+        for m in range(2 ** len(atoms)):
+            if m == 0:
+                labels.append("0")
+            elif m == 2 ** len(atoms) - 1:
+                labels.append("1")
+            elif m & (m - 1) == 0:
+                labels.append(atoms[m.bit_length() - 1])
+            else:
+                labels.append(next(pool))
+        charts.append((atoms, labels))
+    return charts
+
+
+def random_labelled_atlas(rng):
+    return P.BooleanAtlas(
+        [P.BooleanChart(atoms, labels) for atoms, labels in random_labelled_charts(rng)]
+    )
 
 
 def test_from_cells_matches_old_builder():
@@ -157,8 +164,8 @@ def test_from_cells_matches_old_builder():
     for _ in range(300):
         cells = random_partition_logic(rng).partitions[0]
         new = P.BooleanChart.from_cells(cells)
-        ref = old.from_cells(P.BooleanChart, cells)
-        assert (new.atoms, new.label) == (ref.atoms, ref.label)
+        ref = old.from_cells(cells)
+        assert (new.atoms, new.labels) == (ref.atoms, labels_by_mask(ref))
 
 
 def test_atlas_to_quasi_oa_matches_old_builder():

@@ -1,6 +1,8 @@
 """Two-valued states, prime ideals, and exact state-space solving."""
 
+import inspect
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -259,6 +261,20 @@ def loop_table(k, r=1):
         for i in range(k)
     ]
     return P.from_greechie(P.GreechieDiagram(atoms, blocks))
+
+
+def test_state_search_takes_no_frame_per_branch():
+    # the search used to recurse once per branch: 19 frames deep on L_16,
+    # and past Python's stack limit on loops of about 1,000 blocks
+    t = loop_table(16)
+    t.rows()
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 10)
+    try:
+        found = P.enumerate_two_valued_states(t)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert len(found) == 2207
 
 
 def test_state_space_dimension_matches_rank_oracle(tables):
