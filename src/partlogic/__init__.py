@@ -94,6 +94,7 @@ from .testspace import (
     TestSpace,
     Weight,
     completion,
+    count_two_valued_weights,
     enumerate_two_valued_weights,
     event_relations,
     is_algebraic,

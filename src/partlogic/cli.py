@@ -36,7 +36,7 @@ from .states import atoms_of, enumerate_two_valued_states, is_prime
 from .testspace import (
     TestSpace,
     completion,
-    enumerate_two_valued_weights,
+    count_two_valued_weights,
     is_algebraic,
     is_complete,
     verify_test_space,
@@ -306,11 +306,10 @@ def _cmd_testspace(args):
         raise StructureError("source %s (%s) is not a test space" % (args.source, kind))
     report = verify_test_space(ts)
     alg = is_algebraic(ts)
-    weights = enumerate_two_valued_weights(ts)
     result = {
         "class": report.structure_class,
         "algebraic": bool(alg),
-        "two_valued_weights": len(weights),
+        "two_valued_weights": count_two_valued_weights(ts),
     }
     if pts_info:
         result.update(pts_info)

@@ -645,7 +645,19 @@ def from_greechie(diagram):
     """
     blk_atoms = [frozenset(b) for b in diagram.blocks]
     classes = UnionFind()
-    for i, j in itertools.combinations(range(len(blk_atoms)), 2):
+    # blocks without a common atom share only the empty set, which ties
+    # their 0s and their 1s; the first loop ties those for every block
+    for i, atoms in enumerate(blk_atoms):
+        classes.union((i, frozenset()), (0, frozenset()))
+        classes.union((i, atoms), (0, blk_atoms[0]))
+    blocks_of = defaultdict(list)
+    for i, blk in enumerate(diagram.blocks):
+        for a in blk:
+            blocks_of[a].append(i)
+    meeting = {
+        pair for held in blocks_of.values() for pair in itertools.combinations(held, 2)
+    }
+    for i, j in meeting:
         for shared in subsets(blk_atoms[i] & blk_atoms[j]):
             classes.union((i, shared), (j, shared))
             classes.union((i, blk_atoms[i] - shared), (j, blk_atoms[j] - shared))

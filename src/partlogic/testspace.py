@@ -1,22 +1,33 @@
 """Foulis-Randall test spaces: events, perspectivity, weights, partition test spaces.
 
 The exponential searches share one exact-cover engine, `_exact_covers`:
-Knuth's Algorithm X over integer bitmasks.  Rows are masks over the columns;
-each step branches on the uncovered column with the fewest rows that still
-fit, and an explicit stack takes the place of recursion.  Its callers:
+Knuth's Algorithm X on bitsets.  Rows are int masks over the columns, and
+the rows that still fit are one int mask over row indices; choosing a row
+clears the rows it clashes with.  Each step branches on the uncovered
+column with the fewest fitting rows, an explicit stack takes the place of
+recursion, and each cover comes back as a mask over row indices.  Its
+callers:
 
 - two-valued weights (`enumerate_two_valued_weights`,
-  `ts_to_partition_test_space`): the columns are the tests and each
-  outcome's row is the set of tests that contain it; an outcome in no test
-  is free and doubles the count;
+  `ts_to_partition_test_space`): the columns are the tests, and row n-1-i
+  holds the tests that contain outcome i, so a cover's row mask is the
+  weight's value mask.  An outcome in no test is free and doubles the
+  count.  Listed weights share the two values `Fraction(0)` and
+  `Fraction(1)`;
 - `completion` and `is_complete`: the columns are the base points and the
   rows are the cells.
+
+`count_exact_covers` counts the covers without listing them: it splits the
+uncovered columns into connected components, multiplies their counts and
+caches each count by its uncovered-column mask.  `count_two_valued_weights`
+and the `testspace` command count weights with it.
 
 `omp_conditions` works on one orthogonality bitmask over event indices per
 event.
 """
 
 import itertools
+import math
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
@@ -40,44 +51,110 @@ from .partition import PartitionLogic
 def _exact_covers(width, rows):
     """Algorithm X: every set of rows covering columns 0..width-1 exactly once.
 
-    Rows are int bitmasks over the columns; each cover is a list of row
-    indices.  Each step branches on the uncovered column with the fewest
-    rows that still fit.  The search keeps its own stack, so its depth is
-    not bounded by the interpreter's recursion limit.
+    Rows are int bitmasks over the columns; each cover is a mask over row
+    indices.  The search keeps its own stack, so its depth is not bounded by
+    the interpreter's recursion limit.
     """
     full = (1 << width) - 1
-    col_rows = [[] for _ in range(width)]
+    col_rows, clash = _row_masks(width, rows)
+    covers = []
+    stack = [(0, (1 << len(rows)) - 1, 0)]
+    while stack:
+        covered, fit, chosen = stack.pop()
+        if covered == full:
+            covers.append(chosen)
+            continue
+        for r in bits(_fewest(col_rows, full & ~covered, fit)):
+            stack.append((covered | rows[r], fit & ~clash[r], chosen | 1 << r))
+    return covers
+
+
+def count_exact_covers(width, rows):
+    """The number of exact covers of columns 0..width-1, without listing them.
+
+    A count depends only on the uncovered columns, which fix the rows that
+    still fit, so it is cached by their mask (component caching from #SAT).
+    An explicit stack replaces recursion.
+    """
+    col_rows, clash = _row_masks(width, rows)
+    full = (1 << width) - 1
+    counts = {0: 1}
+    parts = {}
+    stack = [(full, (1 << len(rows)) - 1)]
+    while stack:
+        free, fit = stack[-1]
+        if free in counts:
+            stack.pop()
+        elif free in parts:
+            stack.pop()
+            product, children = parts.pop(free)
+            values = [counts[c] for c, _ in children]
+            counts[free] = math.prod(values) if product else sum(values)
+        else:
+            found = _components(col_rows, rows, free, fit)
+            product = len(found) > 1
+            if product:
+                children = [(part, own) for part, own, _ in found]
+            else:
+                children = [
+                    (free & ~rows[r], fit & ~clash[r])
+                    for r in bits(_fewest(col_rows, found[0][2], fit))
+                ]
+            parts[free] = (product, children)
+            stack += [c for c in children if c[0] not in counts]
+    return counts[full]
+
+
+def _row_masks(width, rows):
+    """Per column the mask of rows that hold it; per row the rows it meets."""
+    col_rows = [0] * width
     for r, row in enumerate(rows):
         for c in bits(row):
-            col_rows[c].append(r)
+            col_rows[c] |= 1 << r
+    clash = []
+    for row in rows:
+        meets = 0
+        for c in bits(row):
+            meets |= col_rows[c]
+        clash.append(meets)
+    return col_rows, clash
 
-    def fitting(covered):
-        best = None
-        for c in bits(full & ~covered):
-            fits = [r for r in col_rows[c] if not rows[r] & covered]
-            if best is None or len(fits) < len(best):
-                best = fits
-                if len(fits) <= 1:
-                    break
-        return iter(best)
 
-    covers, chosen = [], []
-    stack = [(0, fitting(0))]
-    while stack:
-        covered, options = stack[-1]
-        r = next(options, None)
-        if r is None:
-            stack.pop()
-            if chosen:
-                chosen.pop()
-            continue
-        now = covered | rows[r]
-        if now == full:
-            covers.append(chosen + [r])
-        else:
-            chosen.append(r)
-            stack.append((now, fitting(now)))
-    return covers
+def _fewest(col_rows, free, fit):
+    """The fitting rows of the free column with the fewest of them."""
+    best = None
+    for c in bits(free):
+        fits = col_rows[c] & fit
+        if best is None or fits.bit_count() < best.bit_count():
+            best = fits
+            if best.bit_count() <= 1:
+                break
+    return best
+
+
+def _components(col_rows, rows, free, fit):
+    """The free columns split by the fitting rows that link them.
+
+    Each component comes with its own fitting rows, those that meet it, and
+    with the middle layer of a breadth-first search from its lowest column.
+    Branching there splits a long path of tests in two halves rather than
+    peeling it from one end.
+    """
+    found = []
+    while free:
+        seed = free & -free
+        part, own, layers = seed, 0, [seed]
+        while layers[-1]:
+            reach = 0
+            for c in bits(layers[-1]):
+                for r in bits(col_rows[c] & fit & ~own):
+                    own |= 1 << r
+                    reach |= rows[r]
+            layers.append(reach & ~part)
+            part |= reach
+        found.append((part, own, layers[(len(layers) - 2) // 2]))
+        free &= ~part
+    return found
 
 
 class TestSpace:
@@ -290,6 +367,10 @@ def pi_logic(ts):
     return FiniteQuasiOrthoalgebra(elements, zero, one, oplus)
 
 
+_ZERO, _ONE = Fraction(0), Fraction(1)
+_DIGIT_VALUE = {"0": _ZERO, "1": _ONE}
+
+
 class Weight:
     """Total rational map on outcomes summing to 1 on every test."""
 
@@ -298,6 +379,15 @@ class Weight:
     def __init__(self, space, values):
         self.space = space
         self.values = {x: Fraction(values[x]) for x in space.outcomes}
+
+    @classmethod
+    def _of_mask(cls, space, mask):
+        """The two-valued weight valuing outcome i 1 iff bit n-1-i of mask is set."""
+        weight = cls.__new__(cls)
+        weight.space = space
+        digits = format(mask, "0%db" % len(space.outcomes))
+        weight.values = dict(zip(space.outcomes, map(_DIGIT_VALUE.get, digits)))
+        return weight
 
     def __call__(self, x):
         return self.values[x]
@@ -318,38 +408,40 @@ def is_weight(ts, w):
     return all(sum(w(x) for x in t) == 1 for t in ts.tests)
 
 
-def _two_valued_masks(ts):
-    """The sets of outcomes valued 1 by the two-valued weights, as bitmasks.
+def _weight_rows(ts):
+    """Exact-cover rows of the two-valued weights: columns are the tests.
 
-    Bit n-1-i stands for outcome i, so the masks ascend in the order of the
-    weights' value vectors.
+    Row n-1-i is the mask of tests holding outcome i (0 if it is free), so a
+    cover's row mask is the mask of outcomes its weight values 1, and the
+    masks ascend in the order of the weights' value vectors.
     """
-    n = len(ts.outcomes)
-    tests_of = {}
+    tests_of = dict.fromkeys(ts.outcomes, 0)
     for j, t in enumerate(ts.tests):
         for x in t:
-            tests_of[x] = tests_of.get(x, 0) | 1 << j
-    rows, row_bits, free = [], [], [0]
-    for i, x in enumerate(ts.outcomes):
-        bit = 1 << (n - 1 - i)
-        if x in tests_of:
-            rows.append(tests_of[x])
-            row_bits.append(bit)
-        else:
-            free += [f | bit for f in free]
+            tests_of[x] |= 1 << j
+    return [tests_of[x] for x in reversed(ts.outcomes)]
+
+
+def _two_valued_masks(ts):
+    """The sets of outcomes valued 1 by the two-valued weights, as bitmasks."""
+    rows = _weight_rows(ts)
+    free = [0]
+    for r, row in enumerate(rows):
+        if not row:
+            free += [f | 1 << r for f in free]
     covers = _exact_covers(len(ts.tests), rows)
-    return sorted(
-        sum(row_bits[r] for r in cover) | f for cover in covers for f in free
-    )
+    return sorted(cover | f for cover in covers for f in free)
 
 
 def enumerate_two_valued_weights(ts):
     """All {0,1} weights (one outcome valued 1 per test), by value vector."""
-    n = len(ts.outcomes)
-    return [
-        Weight(ts, {x: m >> (n - 1 - i) & 1 for i, x in enumerate(ts.outcomes)})
-        for m in _two_valued_masks(ts)
-    ]
+    return [Weight._of_mask(ts, m) for m in _two_valued_masks(ts)]
+
+
+def count_two_valued_weights(ts):
+    """len(enumerate_two_valued_weights(ts)), found without listing them."""
+    rows = _weight_rows(ts)
+    return count_exact_covers(len(ts.tests), rows) << rows.count(0)
 
 
 def ts_to_partition_test_space(ts):
@@ -397,9 +489,9 @@ def _partitions(pts):
     keys = [cell_key(c) for c in pts.cells]
     covers = sorted(
         _exact_covers(len(pts.base), rows),
-        key=lambda cover: sorted(keys[r] for r in cover),
+        key=lambda cover: sorted(keys[r] for r in bits(cover)),
     )
-    return [frozenset(pts.cells[r] for r in cover) for cover in covers]
+    return [frozenset(pts.cells[r] for r in bits(cover)) for cover in covers]
 
 
 def completion(pts):

@@ -150,6 +150,21 @@ def test_testspace_command():
     assert report.result["two_valued_weights"] == 4
 
 
+def test_testspace_counts_weights_it_could_never_list(tmp_path):
+    # a loop of k three-atom blocks has Lucas(k) weights: 6.3e41 for k = 200
+    k = 200
+    atoms = ["x%d" % i for i in range(2 * k)]
+    blocks = [(atoms[2 * i], atoms[2 * i + 1], atoms[(2 * i + 2) % (2 * k)]) for i in range(k)]
+    src = tmp_path / "loop.txt"
+    src.write_text(P.serialize(P.GreechieDiagram(atoms, blocks)))
+    lucas = [2, 1]
+    while len(lucas) <= k:
+        lucas.append(lucas[-1] + lucas[-2])
+    report = cli(["testspace", str(src)])
+    assert report.status == 0
+    assert report.result["two_valued_weights"] == lucas[k]
+
+
 def test_complete_command(tmp_path):
     src = tmp_path / "pts.txt"
     src.write_text(

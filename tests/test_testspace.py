@@ -1,11 +1,15 @@
 """Test spaces: events, perspectivity, weights, and the two correspondences."""
 
+import functools
 import itertools
+import operator
 import random
+from fractions import Fraction
 
 import pytest
 
 import partlogic as P
+from partlogic import testspace
 from conftest import corpus_entry
 
 fs = frozenset
@@ -515,3 +519,151 @@ def test_weights_on_many_singleton_tests():
     weights = P.enumerate_two_valued_weights(ts)
     assert len(weights) == 1
     assert set(weights[0].row()) == {1}
+
+
+# the exact-cover engine and the weight counter ---------------------------------------
+
+
+def lucas(k):
+    a, b = 2, 1
+    for _ in range(k):
+        a, b = b, a + b
+    return a
+
+
+def loop_test_space(k):
+    """The test space of k three-atom blocks in a ring, neighbours sharing one atom."""
+    outcomes = ["x%d" % i for i in range(2 * k)]
+    tests = [
+        {outcomes[2 * i], outcomes[2 * i + 1], outcomes[(2 * i + 2) % (2 * k)]}
+        for i in range(k)
+    ]
+    return P.TestSpace(outcomes, tests)
+
+
+def subset_search_covers(width, rows):
+    """Every set of nonzero rows covering the columns exactly once, as a row mask."""
+    full = (1 << width) - 1
+    out = []
+    for chosen in range(1 << len(rows)):
+        picked = [rows[r] for r in range(len(rows)) if chosen >> r & 1]
+        if (
+            all(picked)
+            and sum(picked) == full
+            and functools.reduce(operator.or_, picked, 0) == full
+        ):
+            out.append(chosen)
+    return out
+
+
+def random_rows(rng, width, count):
+    """Rows over `width` columns, zero and repeated rows among them."""
+    rows = []
+    for _ in range(count):
+        roll = rng.random()
+        if roll < 0.1:
+            rows.append(0)
+        elif roll < 0.2 and rows:
+            rows.append(rng.choice(rows))
+        else:
+            cols = rng.sample(range(width), rng.randint(1, min(3, width)))
+            rows.append(sum(1 << c for c in cols))
+    return rows
+
+
+def test_exact_covers_match_subset_search():
+    rng = random.Random(5)
+    seen = {"zero": 0, "repeated": 0, "covers": 0, "none": 0}
+    for _ in range(400):
+        width = rng.randint(1, 6)
+        rows = random_rows(rng, width, rng.randint(1, 11))
+        expected = subset_search_covers(width, rows)
+        assert sorted(testspace._exact_covers(width, rows)) == expected
+        assert testspace.count_exact_covers(width, rows) == len(expected)
+        seen["zero"] += 0 in rows
+        seen["repeated"] += len(set(rows)) < len(rows)
+        seen["covers"] += len(expected) > 1
+        seen["none"] += not expected
+    assert all(v >= 20 for v in seen.values()), seen
+
+
+def test_exact_covers_past_64_rows_and_columns():
+    # small instances on disjoint columns, their rows shuffled together: the
+    # covers are every choice of one cover from each instance
+    rng = random.Random(9)
+    rows, pieces, width = [], [], 0
+    while width <= 64 or len(rows) <= 64:
+        w = rng.randint(6, 10)
+        small = random_rows(rng, w, rng.randint(8, 13))
+        covers = subset_search_covers(w, small)
+        if not 1 <= len(covers) <= 4:
+            continue
+        start = len(rows)
+        rows += [r << width for r in small]
+        pieces.append([c << start for c in covers])
+        width += w
+    order = list(range(len(rows)))
+    rng.shuffle(order)
+    position = {r: i for i, r in enumerate(order)}
+
+    def moved(mask):
+        return sum(1 << position[r] for r in range(len(rows)) if mask >> r & 1)
+
+    shuffled = [rows[r] for r in order]
+    expected = sorted(moved(sum(choice)) for choice in itertools.product(*pieces))
+    assert len(expected) > 1
+    assert sorted(testspace._exact_covers(width, shuffled)) == expected
+    assert testspace.count_exact_covers(width, shuffled) == len(expected)
+
+
+def test_listed_weights_hold_exact_zero_one_values():
+    rng = random.Random(7)
+    spaces = [random_test_space(rng) for _ in range(100)]
+    spaces += [wright_test_space(), firefly_test_space(), loop_test_space(9)]
+    for ts in spaces:
+        for w in P.enumerate_two_valued_weights(ts):
+            assert all(type(v) is Fraction and v in (0, 1) for v in w.values.values())
+            assert P.is_weight(ts, w)
+            # the per-entry construction that the listing used to make
+            old = P.Weight(ts, {x: int(w(x)) for x in ts.outcomes})
+            assert w.row() == old.row() and w.values == old.values
+
+
+def weight_count_cases():
+    rng = random.Random(7)
+    for _ in range(300):
+        yield random_test_space(rng)
+    for e in P.corpus():
+        if e.kind == "greechie":
+            yield P.TestSpace.from_greechie(e.payload)
+        elif e.kind == "test_space":
+            yield e.payload.as_test_space()
+        elif e.kind == "partition_logic":
+            yield P.partition_logic_to_pts(e.payload).as_test_space()
+    for k in range(3, 9):
+        pts = P.ts_to_partition_test_space(loop_test_space(k))
+        yield pts.as_test_space()
+
+
+def test_weight_count_matches_listing():
+    free = repeated = 0
+    for ts in weight_count_cases():
+        free += any(all(x not in t for t in ts.tests) for x in ts.outcomes)
+        repeated += len(set(ts.tests)) < len(ts.tests)
+        assert P.count_two_valued_weights(ts) == len(P.enumerate_two_valued_weights(ts))
+    assert free and repeated
+
+
+@pytest.mark.parametrize("k", [12, 16, 20])
+def test_loop_weights_are_lucas_numbers(k):
+    ts = loop_test_space(k)
+    assert P.count_two_valued_weights(ts) == lucas(k)
+    assert len(P.enumerate_two_valued_weights(ts)) == lucas(k)
+
+
+def test_weight_count_on_large_inputs():
+    # both take one frame per component or branch if the count recurses
+    outcomes = ["o%d" % i for i in range(1200)]
+    singletons = P.TestSpace(outcomes, [{x} for x in outcomes])
+    assert P.count_two_valued_weights(singletons) == 1
+    assert P.count_two_valued_weights(loop_test_space(1000)) == lucas(1000)
