@@ -1,6 +1,7 @@
 """Moore/Mealy machines, preset experiments, and automaton logics."""
 
 import itertools
+from collections import deque
 from functools import cached_property
 from operator import add
 from types import MappingProxyType
@@ -176,17 +177,21 @@ def _refine(step, classes):
     state in declaration order, so equal partitions get equal tuples.
     """
     succ, out = step
-    ids = {}
-    keys = map(add, out, map(classes.__getitem__, succ))
-    return tuple([ids.setdefault(k, len(ids)) for k in keys])
+    keys = list(map(add, out, map(classes.__getitem__, succ)))
+    ids = dict(zip(dict.fromkeys(keys), itertools.count()))
+    return tuple(map(ids.__getitem__, keys))
 
 
 def _cells(states, classes):
-    """The partition of the states that a tuple of class ids names."""
-    cells = {}
-    for q, c in zip(states, classes):
-        cells.setdefault(c, []).append(q)
-    return tuple(frozenset(g) for g in cells.values())
+    """The partition of the states that a tuple of class ids names.
+
+    The ids are numbered as `_refine` numbers them, 0, 1, ... in order of
+    first occurrence, so each id indexes its cell; one pass appends every
+    state to its cell.
+    """
+    cells = [[] for _ in range(max(classes) + 1)]
+    deque(map(list.append, map(cells.__getitem__, classes), states), maxlen=0)
+    return tuple(map(frozenset, cells))
 
 
 def experiment_partition(machine, word):

@@ -70,13 +70,13 @@ def _kind(lines):
 
 def _cells(rest, no):
     cells = []
-    for chunk in rest.split("|"):
-        pts = chunk.split()
-        if not pts:
+    for pts in map(str.split, rest.split("|")):
+        cell = frozenset(pts)
+        if not cell:
             raise ParseError("empty cell", line=no)
-        if len(set(pts)) != len(pts):
+        if len(cell) != len(pts):
             raise ParseError("repeated point inside a cell", line=no)
-        cells.append(frozenset(pts))
+        cells.append(cell)
     return cells
 
 
@@ -301,7 +301,7 @@ def parse_any(text):
 
 
 def _fmt_partition(cells):
-    ordered = sorted((sorted(c, key=str) for c in cells), key=tuple)
+    ordered = sorted(sorted(map(str, c)) for c in cells)
     return " | ".join(" ".join(c) for c in ordered)
 
 
@@ -312,6 +312,38 @@ def _family_text(head, points, row, families):
         lines.append(row + ": " + part)
     lines.append("")
     return "\n".join(lines)
+
+
+def _machine_text(machine):
+    """The header lines, then one delta and one lambda line per entry.
+
+    Lines are joined from shared pieces (a head per state, " a -> " per
+    input a, each target with its newline), not built one string each, so
+    writing a machine needs little more memory than its text.
+    """
+    states, inputs, outputs = machine.states, machine.inputs, machine.outputs
+    pieces = [
+        "states: " + " ".join(states),
+        "\ninputs: " + " ".join(inputs),
+        "\noutputs: " + " ".join(outputs),
+        "\n",
+    ]
+    arrows = [" %s -> " % a for a in inputs]
+    to_state = [q + "\n" for q in states]
+    to_output = [o + "\n" for o in outputs]
+    for i, q in enumerate(states):
+        head = "delta: " + q
+        for arrow, row in zip(arrows, machine.succ):
+            pieces += (head, arrow, to_state[row[i]])
+    if machine.kind == "moore":
+        for q, o in zip(states, machine.out):
+            pieces += ("lambda: ", q, " -> ", to_output[o])
+    else:
+        for i, q in enumerate(states):
+            head = "lambda: " + q
+            for arrow, row in zip(arrows, machine.out):
+                pieces += (head, arrow, to_output[row[i]])
+    return "".join(pieces)
 
 
 def serialize(structure):
@@ -350,27 +382,7 @@ def serialize(structure):
         lines.append("")
         return "\n".join(lines)
     if isinstance(structure, (MealyAutomaton, MooreAutomaton)):
-        states, inputs, outputs = structure.states, structure.inputs, structure.outputs
-        out = structure.out
-        lines = [
-            "states: " + " ".join(states),
-            "inputs: " + " ".join(inputs),
-            "outputs: " + " ".join(outputs),
-        ]
-        for i, q in enumerate(states):
-            for a, row in zip(inputs, structure.succ):
-                lines.append("delta: %s %s -> %s" % (q, a, states[row[i]]))
-        if structure.kind == "moore":
-            for q, o in zip(states, out):
-                lines.append("lambda: %s -> %s" % (q, outputs[o]))
-        else:
-            for i, q in enumerate(states):
-                for a, row in zip(inputs, out):
-                    lines.append("lambda: %s %s -> %s" % (q, a, outputs[row[i]]))
-        # an empty last line ends the text with a newline without copying
-        # the whole text once more, as appending "\n" after the join would
-        lines.append("")
-        return "\n".join(lines)
+        return _machine_text(structure)
     if isinstance(structure, PartitionTestSpace):
         return _family_text("base", structure.base, "test", structure.tests)
     raise ParseError("cannot serialize %r" % type(structure).__name__)

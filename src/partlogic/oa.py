@@ -19,13 +19,13 @@ _Kernel = namedtuple("_Kernel", "rows partners complements up down")
 def format_label(label):
     """Human-readable form of an element label (point sets print sorted)."""
     if isinstance(label, frozenset):
-        return "{%s}" % ",".join(sorted(str(p) for p in label))
+        return "{%s}" % ",".join(sorted(map(str, label)))
     return str(label)
 
 
 def cell_key(cell):
     """Canonical sort key of a point set: its points' labels in order."""
-    return tuple(sorted(str(p) for p in cell))
+    return tuple(sorted(map(str, cell)))
 
 
 def label_key(label):
@@ -592,6 +592,17 @@ def block_sums(pieces):
 # Greechie diagrams and their pasting
 
 
+def _meeting(blocks):
+    """The index pairs (i, j), i < j, of blocks that share an atom."""
+    blocks_of = defaultdict(list)
+    for i, blk in enumerate(blocks):
+        for a in blk:
+            blocks_of[a].append(i)
+    return {
+        pair for held in blocks_of.values() for pair in itertools.combinations(held, 2)
+    }
+
+
 class GreechieDiagram:
     """Atoms plus blocks of mutually orthogonal atoms (the smooth lines)."""
 
@@ -620,8 +631,12 @@ class GreechieDiagram:
             raise StructureError(
                 "atoms %s occur in no block" % sorted(map(str, missing))
             )
-        for i, j in itertools.combinations(range(len(sets)), 2):
-            if sets[i] <= sets[j] or sets[j] <= sets[i]:
+        # blocks have two atoms or more, so nested blocks share an atom;
+        # the first nested pair in index order is reported, inner block first
+        for i, j in sorted(_meeting(self.blocks)):
+            if sets[j] < sets[i]:
+                i, j = j, i
+            if sets[i] <= sets[j]:
                 raise StructureError(
                     "block %r is contained in block %r"
                     % (self.blocks[i], self.blocks[j])
@@ -650,14 +665,7 @@ def from_greechie(diagram):
     for i, atoms in enumerate(blk_atoms):
         classes.union((i, frozenset()), (0, frozenset()))
         classes.union((i, atoms), (0, blk_atoms[0]))
-    blocks_of = defaultdict(list)
-    for i, blk in enumerate(diagram.blocks):
-        for a in blk:
-            blocks_of[a].append(i)
-    meeting = {
-        pair for held in blocks_of.values() for pair in itertools.combinations(held, 2)
-    }
-    for i, j in meeting:
+    for i, j in _meeting(diagram.blocks):
         for shared in subsets(blk_atoms[i] & blk_atoms[j]):
             classes.union((i, shared), (j, shared))
             classes.union((i, blk_atoms[i] - shared), (j, blk_atoms[j] - shared))

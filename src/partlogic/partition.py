@@ -1,6 +1,13 @@
-"""Partition logics, urn models, their pastings, and logic isomorphism."""
+"""Partition logics, urn models, their pastings, and logic isomorphism.
+
+Point sets are made once and shared: `oa_to_partition_logic` makes one
+support per element, from the states' bits transposed once; `PartitionLogic`
+checks each distinct partition once; `pasting_to_oa` keeps one object per
+distinct cell union.
+"""
 
 from collections import defaultdict
+from itertools import compress
 
 from .errors import PrimenessError, StructureError
 from .oa import (
@@ -10,7 +17,7 @@ from .oa import (
     format_label,
     subset_unions,
 )
-from .states import TwoValuedState, is_prime
+from .states import TwoValuedState, is_prime, value_columns
 
 
 class PartitionLogic:
@@ -30,22 +37,18 @@ class PartitionLogic:
         kept = []
         seen = set()
         for part in partitions:
-            cells = tuple(frozenset(c) for c in part)
-            covered = set()
-            for cell in cells:
-                if not cell:
-                    raise StructureError("empty cell in partition")
-                if not cell <= pts:
-                    raise StructureError("cell %s leaves the ground set" % format_label(cell))
-                if covered & cell:
-                    raise StructureError("overlapping cells in partition")
-                covered |= cell
-            if covered != pts:
-                raise StructureError("partition does not cover the ground set")
+            cells = tuple(map(frozenset, part))
             key = frozenset(cells)
-            if key not in seen:
-                seen.add(key)
-                kept.append(cells)
+            # a key holding fewer cells than the partition repeats a cell
+            if key in seen and len(key) == len(cells):
+                continue
+            # nonempty cells whose sizes sum to |ground| and whose union is
+            # the ground are disjoint and inside it
+            size = sum(map(len, cells))
+            if not all(cells) or size != len(pts) or set().union(*cells) != pts:
+                _reject(cells, pts)
+            seen.add(key)
+            kept.append(cells)
         if not kept:
             raise StructureError("no partitions given")
         self.partitions = tuple(kept)
@@ -55,6 +58,20 @@ class PartitionLogic:
             len(self.ground),
             len(self.partitions),
         )
+
+
+def _reject(cells, pts):
+    """Raise the first fault, cell by cell, of cells that do not partition pts."""
+    covered = set()
+    for cell in cells:
+        if not cell:
+            raise StructureError("empty cell in partition")
+        if not cell <= pts:
+            raise StructureError("cell %s leaves the ground set" % format_label(cell))
+        if covered & cell:
+            raise StructureError("overlapping cells in partition")
+        covered |= cell
+    raise StructureError("partition does not cover the ground set")
 
 
 class UrnModel:
@@ -95,11 +112,17 @@ def pasting_to_oa(pl):
     and b are disjoint cell-unions of one common partition, with value the
     plain union.
     """
-    pieces = [subset_unions(cells) for cells in pl.partitions]
-    elements = sorted(set().union(*pieces), key=lambda s: (len(s), cell_key(s)))
+    # one object per distinct cell union, so that the sum table's keys and
+    # values are the elements themselves and every lookup meets by identity
+    union_of = {}
+    pieces = [
+        list(map(union_of.setdefault, unions, unions))
+        for unions in map(subset_unions, pl.partitions)
+    ]
+    elements = sorted(union_of, key=lambda s: (len(s), cell_key(s)))
     oplus, _ = block_sums(pieces)
     return FiniteQuasiOrthoalgebra(
-        elements, frozenset(), frozenset(pl.ground), oplus
+        elements, union_of[frozenset()], union_of[frozenset(pl.ground)], oplus
     )
 
 
@@ -121,18 +144,17 @@ def oa_to_partition_logic(table):
     sts = primeness.separating
     names = ["p%d" % (k + 1) for k in range(len(sts))]
     # the states valuing x at 1, i.e. the prime ideals omitting x; a state
-    # values x' at 1 exactly when it values x at 0
-    support = [
-        frozenset(name for name, s in zip(names, sts) if s.bits[i])
-        for i in range(len(table.elements))
-    ]
-    outside = [frozenset(names) - s for s in support]
+    # values x' at 1 exactly when it values x at 0, so p((x+y)') is the
+    # support of the complement, and equal cells are one object
+    support = [frozenset(compress(names, column)) for column in value_columns(table, sts)]
+    elements, index, complement = table.elements, table.index, table.complement
 
     partitions = []
     for i, row in enumerate(table.rows()):
         for j, k in row.items():
-            table.complement(table.elements[k])  # raises unless it is unique
-            cells = [c for c in (support[i], support[j], outside[k]) if c]
+            # raises unless the complement is unique
+            outside = support[index(complement(elements[k]))]
+            cells = [c for c in (support[i], support[j], outside) if c]
             if cells:
                 partitions.append(cells)
     return PartitionLogic(names, partitions)

@@ -55,7 +55,7 @@ class TwoValuedState:
 
     def row(self, elements):
         """Value tuple over the given elements (table display order)."""
-        return tuple(self(e) for e in elements)
+        return tuple(map(self.bits.__getitem__, map(self.table.index, elements)))
 
 
 class RationalState:
@@ -267,6 +267,11 @@ def prime_ideal_to_state(table, ideal):
     )
 
 
+def value_columns(table, sts):
+    """Each element's values under the states: their bit tuples transposed."""
+    return list(zip(*[s.bits for s in sts])) if sts else [()] * len(table.elements)
+
+
 def is_prime(table):
     """Whether the two-valued states separate every pair of elements."""
     sts = enumerate_two_valued_states(table)
@@ -274,8 +279,8 @@ def is_prime(table):
     # in order of their first member, so the first group with two members
     # gives the first inseparable pair in combination order
     groups = {}
-    for i, e in enumerate(table.elements):
-        groups.setdefault(tuple(s.bits[i] for s in sts), []).append(e)
+    for e, column in zip(table.elements, value_columns(table, sts)):
+        groups.setdefault(column, []).append(e)
     for group in groups.values():
         if len(group) > 1:
             return PrimenessResult(False, None, tuple(group[:2]))

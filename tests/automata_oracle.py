@@ -3,10 +3,13 @@
 `run` is called once per state and word, and `propositional_calculus` runs
 every word up to the length bound.  The library now derives each partition
 from the partition of its suffix; these copies are what it is checked
-against.
+against.  `_refine` and `_cells` are copies of the suffix-refining helpers
+as they were written with one Python step per state, before they became
+passes of `map` and `dict.fromkeys`.
 """
 
 import itertools
+from operator import add
 
 from partlogic.errors import StructureError
 from partlogic.partition import PartitionLogic
@@ -69,3 +72,24 @@ def propositional_calculus(machine, max_word_length):
     for w in _words(machine.inputs, max_word_length):
         partitions.append(experiment_partition(machine, w))
     return PartitionLogic(machine.states, partitions)
+
+
+def _refine(step, classes):
+    """Class ids of a.w from the step of a and the class ids of w.
+
+    Two states share a class of a.w when a emits the same output from both
+    and leads them into one class of w.  Classes are numbered by their first
+    state in declaration order, so equal partitions get equal tuples.
+    """
+    succ, out = step
+    ids = {}
+    keys = map(add, out, map(classes.__getitem__, succ))
+    return tuple([ids.setdefault(k, len(ids)) for k in keys])
+
+
+def _cells(states, classes):
+    """The partition of the states that a tuple of class ids names."""
+    cells = {}
+    for q, c in zip(states, classes):
+        cells.setdefault(c, []).append(q)
+    return tuple(frozenset(g) for g in cells.values())

@@ -104,3 +104,35 @@ def test_all_words_match_word_enumeration_past_the_stop():
         assert P.propositional_calculus(m, None).partitions == want, m
     # some searches run several levels before they stop
     assert max(stops) >= 5, stops
+
+
+def test_refine_and_cells_match_the_per_state_copies():
+    rng = random.Random(13)
+    singletons = 0
+    for _ in range(300):
+        m = random_machine(rng)
+        classes = (0,) * len(m.states)
+        for _ in range(rng.randint(1, 6)):
+            step = m._keyed[rng.randrange(len(m.inputs))]
+            refined = automata._refine(step, classes)
+            assert refined == oracle._refine(step, classes), m
+            classes = refined
+            assert automata._cells(m.states, classes) == oracle._cells(m.states, classes)
+        singletons += len(m.states) > 1 and len(set(classes)) == len(m.states)
+    assert singletons
+
+
+def test_all_singleton_partition_matches_the_per_state_copies():
+    # one input whose outputs tell all 500 states apart
+    states = ["q%d" % i for i in range(500)]
+    delta = {(q, "a"): states[0] for q in states}
+    lam = {(q, "a"): "y" + q for q in states}
+    m = P.MealyAutomaton(states, ["a"], sorted(lam.values()), delta, lam)
+    classes = (0,) * len(states)
+    step = m._keyed[0]
+    refined = automata._refine(step, classes)
+    assert refined == oracle._refine(step, classes) == tuple(range(len(states)))
+    cells = automata._cells(m.states, refined)
+    assert cells == oracle._cells(m.states, refined)
+    assert cells == tuple(frozenset([q]) for q in states)
+    assert P.propositional_calculus(m, None).partitions == (cells,)

@@ -1,9 +1,12 @@
 """Text format parsing, canonical serialization, and the corpus registry."""
 
+import tracemalloc
+
 import pytest
 
 import partlogic as P
 from conftest import corpus_entry
+from test_pasting_oracle import loop_diagram
 
 WRIGHT_TEXT = """\
 # three blocks around a loop
@@ -94,6 +97,21 @@ def test_automaton_round_trip():
     assert again.lam == m.lam
     assert again.delta == m.delta
     assert P.serialize(again) == text
+
+
+def test_machine_text_takes_little_more_memory_than_itself():
+    # the realization machine of L_9 spells each partition in every line
+    pl = P.oa_to_partition_logic(P.from_greechie(loop_diagram(9)))
+    machine = P.partition_logic_to_mealy(pl)
+    tracemalloc.start()
+    try:
+        text = P.serialize(machine)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(text) >= 1_000_000
+    assert peak < 1.5 * len(text)
+    assert P.serialize(P.parse("mealy", text)) == text
 
 
 def test_moore_round_trip():

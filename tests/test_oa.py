@@ -347,3 +347,12 @@ def test_diagram_validation():
 def test_corpus_tables_verify(tables):
     for eid, t in tables.items():
         assert P.verify_quasi_oa(t).passed, eid
+
+
+def test_nested_blocks_name_the_first_pair_inner_block_first():
+    # (0, 2) and (0, 3) are nested; (0, 2) comes first in pair order, though
+    # block 3's atoms come first in block 0
+    blocks = [("a", "b", "c", "d"), ("e", "f"), ("c", "d"), ("a", "b")]
+    message = r"^block \('c', 'd'\) is contained in block \('a', 'b', 'c', 'd'\)$"
+    with pytest.raises(P.StructureError, match=message):
+        P.GreechieDiagram("abcdef", blocks)

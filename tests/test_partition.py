@@ -4,6 +4,7 @@ import pytest
 
 import partlogic as P
 from conftest import boolean_table, corpus_entry, corpus_table
+from test_pasting_oracle import loop_diagram
 
 fs = frozenset
 
@@ -13,12 +14,24 @@ def pl_wright():
 
 
 def test_partition_logic_validation():
-    with pytest.raises(P.StructureError):
-        P.PartitionLogic(["1", "2"], [[{"1"}]])
-    with pytest.raises(P.StructureError):
-        P.PartitionLogic(["1", "2"], [[{"1"}, {"1", "2"}]])
-    with pytest.raises(P.StructureError):
-        P.PartitionLogic(["1", "2"], [[{"1"}, set()]])
+    # each family of cells raises, naming its first fault cell by cell
+    cases = [
+        ([[{"1"}]], "partition does not cover the ground set"),
+        ([[{"1"}, {"1", "2"}]], "overlapping cells in partition"),
+        ([[{"1"}, set()]], "empty cell in partition"),
+        ([[{"1"}, set(), {"2"}]], "empty cell in partition"),
+        ([[{"1", "3"}, set()]], "cell {1,3} leaves the ground set"),
+        # the sizes sum to the ground's, but a point is met twice
+        ([[{"1"}, {"1"}]], "overlapping cells in partition"),
+        ([[]], "partition does not cover the ground set"),
+        # the same set of cells as the valid partition before it
+        ([[{"1"}, {"2"}], [{"1"}, {"2"}, {"1"}]], "overlapping cells in partition"),
+        ([[{"1", "2"}], [{"1"}, {"2"}], [{"2"}]], "partition does not cover the ground set"),
+    ]
+    for partitions, message in cases:
+        with pytest.raises(P.StructureError) as err:
+            P.PartitionLogic(["1", "2"], partitions)
+        assert str(err.value) == message, partitions
 
 
 def test_duplicate_partitions_removed():
@@ -201,3 +214,17 @@ def test_iso_distinguishes_fig15_fig16(tables):
     # same sizes, different gluing
     assert len(tables["fig15"].elements) == len(tables["fig16"].elements)
     assert P.isomorphic(tables["fig15"], tables["fig16"]) is None
+
+
+@pytest.mark.parametrize("k", [3, 4, 5])
+def test_pasting_sums_name_the_elements_themselves(k):
+    pls = [pl_wright(), P.oa_to_partition_logic(P.from_greechie(loop_diagram(k)))]
+    pls.append(P.parse("partition_logic", P.serialize(pls[-1])))
+    for pl in pls:
+        t = P.pasting_to_oa(pl)
+        own = {id(e) for e in t.elements}
+        assert id(t.zero) in own and id(t.one) in own
+        for (a, b), c in t.table.items():
+            assert t.elements[t.index(a)] is a
+            assert t.elements[t.index(b)] is b
+            assert t.elements[t.index(c)] is c
