@@ -33,9 +33,20 @@ class _Automaton:
         machine._set(states, inputs, outputs, succ, out)
         return machine
 
-    def _build(self, states, inputs, outputs, delta, lam):
-        """Raise unless every transition enters and every output is declared,
-        then set the table from the total label dicts."""
+    def __init__(self, states, inputs, outputs, delta, lam):
+        """Raise unless the label dicts are total, every transition enters and
+        every output is declared, then set the table from them."""
+        states, inputs, outputs = tuple(states), tuple(inputs), tuple(outputs)
+        delta, lam = dict(delta), dict(lam)
+        moore = self.kind == "moore"
+        for q in states:
+            if moore and q not in lam:
+                raise StructureError("no output for state %r" % (q,))
+            for a in inputs:
+                if (q, a) not in delta:
+                    raise StructureError("no transition for (%r, %r)" % (q, a))
+                if not moore and (q, a) not in lam:
+                    raise StructureError("no output for (%r, %r)" % (q, a))
         index = {q: i for i, q in enumerate(states)}
         out_index = {o: k for k, o in enumerate(outputs)}
         for (q, a), target in delta.items():
@@ -51,11 +62,11 @@ class _Automaton:
         keys = list(itertools.product(states, inputs))
         m = len(inputs)
         succ = list(map(index.__getitem__, map(delta.__getitem__, keys)))
-        if self.kind == "mealy":
+        if moore:
+            out = [out_index[lam[q]] for q in states]
+        else:
             out = list(map(out_index.__getitem__, map(lam.__getitem__, keys)))
             out = [out[j::m] for j in range(m)]
-        else:
-            out = [out_index[lam[q]] for q in states]
         self._set(states, inputs, outputs, [succ[j::m] for j in range(m)], out)
 
     @cached_property
@@ -106,33 +117,11 @@ class MooreAutomaton(_Automaton):
 
     kind = "moore"
 
-    def __init__(self, states, inputs, outputs, delta, lam):
-        states, inputs, outputs = tuple(states), tuple(inputs), tuple(outputs)
-        delta, lam = dict(delta), dict(lam)
-        for q in states:
-            if q not in lam:
-                raise StructureError("no output for state %r" % (q,))
-            for a in inputs:
-                if (q, a) not in delta:
-                    raise StructureError("no transition for (%r, %r)" % (q, a))
-        self._build(states, inputs, outputs, delta, lam)
-
 
 class MealyAutomaton(_Automaton):
     """Finite transducer emitting one output per transition."""
 
     kind = "mealy"
-
-    def __init__(self, states, inputs, outputs, delta, lam):
-        states, inputs, outputs = tuple(states), tuple(inputs), tuple(outputs)
-        delta, lam = dict(delta), dict(lam)
-        for q in states:
-            for a in inputs:
-                if (q, a) not in delta:
-                    raise StructureError("no transition for (%r, %r)" % (q, a))
-                if (q, a) not in lam:
-                    raise StructureError("no output for (%r, %r)" % (q, a))
-        self._build(states, inputs, outputs, delta, lam)
 
 
 def _columns(machine, word):

@@ -164,42 +164,35 @@ def _parse_urn(lines):
     return UrnModel(balls, colors, visible)
 
 
+def _arrow(width, message):
+    """A row reader of 'q [a] -> value' lines with `width` names before the arrow.
+
+    It returns (key, value), the key being the state, or the (state, input)
+    pair when `width` is 2.
+    """
+
+    def reader(rest, no):
+        if "->" not in rest:
+            raise ParseError("expected '->'", line=no)
+        left, right = (side.split() for side in rest.split("->", 1))
+        if len(right) != 1:
+            raise ParseError("expected one value after '->'", line=no)
+        if len(left) != width:
+            raise ParseError(message, line=no)
+        return (left[0] if width == 1 else tuple(left)), right[0]
+
+    return reader
+
+
 def _parse_automaton(lines, moore):
-    header = {"states": None, "inputs": None, "outputs": None}
-    delta = {}
-    lam = {}
-    for no, key, rest in lines:
-        if key in header:
-            if header[key] is not None:
-                raise ParseError("second %s line" % key, line=no)
-            header[key] = rest.split()
-        elif key in ("delta", "lambda"):
-            if "->" not in rest:
-                raise ParseError("expected '->'", line=no)
-            left, right = rest.split("->", 1)
-            left = left.split()
-            right = right.split()
-            if len(right) != 1:
-                raise ParseError("expected one value after '->'", line=no)
-            if key == "delta":
-                if len(left) != 2:
-                    raise ParseError("delta lines read 'delta: q a -> q2'", line=no)
-                delta[(left[0], left[1])] = right[0]
-            elif moore:
-                if len(left) != 1:
-                    raise ParseError("moore lambda lines read 'lambda: q -> o'", line=no)
-                lam[left[0]] = right[0]
-            else:
-                if len(left) != 2:
-                    raise ParseError("mealy lambda lines read 'lambda: q a -> o'", line=no)
-                lam[(left[0], left[1])] = right[0]
-        else:
-            raise ParseError("unexpected keyword %r" % key, line=no)
-    for name in ("states", "inputs", "outputs"):
-        if header[name] is None:
-            raise ParseError("missing %s line" % name)
+    if moore:
+        output_row = _arrow(1, "moore lambda lines read 'lambda: q -> o'")
+    else:
+        output_row = _arrow(2, "mealy lambda lines read 'lambda: q a -> o'")
+    rows = {"delta": _arrow(2, "delta lines read 'delta: q a -> q2'"), "lambda": output_row}
+    states, inputs, outputs, delta, lam = _read(lines, ("states", "inputs", "outputs"), rows)
     cls = MooreAutomaton if moore else MealyAutomaton
-    return cls(header["states"], header["inputs"], header["outputs"], delta, lam)
+    return cls(states, inputs, outputs, dict(delta), dict(lam))
 
 
 def _parse_pts(lines):

@@ -1,26 +1,21 @@
 """Foulis-Randall test spaces: events, perspectivity, weights, partition test spaces.
 
-The exponential searches share one exact-cover engine, `_exact_covers`:
-Knuth's Algorithm X on bitsets.  Rows are int masks over the columns, and
-the rows that still fit are one int mask over row indices; choosing a row
-clears the rows it clashes with.  Each step branches on the uncovered
-column with the fewest fitting rows, an explicit stack takes the place of
-recursion, and each cover comes back as a mask over row indices.  Its
+The exponential searches are exact-cover questions, answered by one search,
+`_search`.  Rows are int masks over the columns.  The search splits the
+uncovered columns into the components that fitting rows link, branches on
+the column with the fewest fitting rows, and caches each result by its
+uncovered-column mask.  `count_exact_covers` folds the covers into their
+number and `_exact_covers` into a list of masks over row indices.  Their
 callers:
 
 - two-valued weights (`enumerate_two_valued_weights`,
-  `ts_to_partition_test_space`): the columns are the tests, and row n-1-i
-  holds the tests that contain outcome i, so a cover's row mask is the
-  weight's value mask.  An outcome in no test is free and doubles the
-  count.  Listed weights share the two values `Fraction(0)` and
-  `Fraction(1)`;
+  `count_two_valued_weights`, `ts_to_partition_test_space`): the columns are
+  the tests, and row n-1-i holds the tests that contain outcome i, so a
+  cover's row mask is the weight's value mask.  An outcome in no test is
+  free and may be valued 0 or 1.  Listed weights share the two values
+  `Fraction(0)` and `Fraction(1)`;
 - `completion` and `is_complete`: the columns are the base points and the
   rows are the cells.
-
-`count_exact_covers` counts the covers without listing them: it splits the
-uncovered columns into connected components, multiplies their counts and
-caches each count by its uncovered-column mask.  `count_two_valued_weights`
-and the `testspace` command count weights with it.
 
 `omp_conditions` works on one orthogonality bitmask over event indices per
 event.
@@ -48,61 +43,63 @@ from .oa import (
 from .partition import PartitionLogic
 
 
-def _exact_covers(width, rows):
-    """Algorithm X: every set of rows covering columns 0..width-1 exactly once.
+def _search(width, rows, leaf, product, branch):
+    """Fold every exact cover of columns 0..width-1 by rows, int bitmasks.
 
-    Rows are int bitmasks over the columns; each cover is a mask over row
-    indices.  The search keeps its own stack, so its depth is not bounded by
-    the interpreter's recursion limit.
-    """
-    full = (1 << width) - 1
-    col_rows, clash = _row_masks(width, rows)
-    covers = []
-    stack = [(0, (1 << len(rows)) - 1, 0)]
-    while stack:
-        covered, fit, chosen = stack.pop()
-        if covered == full:
-            covers.append(chosen)
-            continue
-        for r in bits(_fewest(col_rows, full & ~covered, fit)):
-            stack.append((covered | rows[r], fit & ~clash[r], chosen | 1 << r))
-    return covers
-
-
-def count_exact_covers(width, rows):
-    """The number of exact covers of columns 0..width-1, without listing them.
-
-    A count depends only on the uncovered columns, which fix the rows that
-    still fit, so it is cached by their mask (component caching from #SAT).
-    An explicit stack replaces recursion.
+    The covers of the uncovered columns depend on those columns alone, which
+    fix the rows that still fit, so each result is cached by their mask
+    (component caching from #SAT).  `leaf` is the result with no column
+    left.  Columns that no fitting row links are independent components,
+    whose results combine by `product`; one component branches on the rows
+    of a column with the fewest fitting rows, and `branch` combines the
+    (result, row) pairs of the rows it tries.  An explicit stack replaces
+    recursion.
     """
     col_rows, clash = _row_masks(width, rows)
     full = (1 << width) - 1
-    counts = {0: 1}
+    done = {0: leaf}
     parts = {}
     stack = [(full, (1 << len(rows)) - 1)]
     while stack:
         free, fit = stack[-1]
-        if free in counts:
+        if free in done:
             stack.pop()
         elif free in parts:
             stack.pop()
-            product, children = parts.pop(free)
-            values = [counts[c] for c, _ in children]
-            counts[free] = math.prod(values) if product else sum(values)
+            children, tried = parts.pop(free)
+            results = [done[c] for c, _ in children]
+            done[free] = product(results) if tried is None else branch(zip(results, tried))
         else:
             found = _components(col_rows, rows, free, fit)
-            product = len(found) > 1
-            if product:
+            if len(found) > 1:
+                tried = None
                 children = [(part, own) for part, own, _ in found]
             else:
-                children = [
-                    (free & ~rows[r], fit & ~clash[r])
-                    for r in bits(_fewest(col_rows, found[0][2], fit))
-                ]
-            parts[free] = (product, children)
-            stack += [c for c in children if c[0] not in counts]
-    return counts[full]
+                tried = list(bits(_fewest(col_rows, found[0][2], fit)))
+                children = [(free & ~rows[r], fit & ~clash[r]) for r in tried]
+            parts[free] = (children, tried)
+            stack += [c for c in children if c[0] not in done]
+    return done[full]
+
+
+def _cross(lists):
+    """Every union of one mask from each list."""
+    out = [0]
+    for masks in lists:
+        out = [m | k for m in out for k in masks]
+    return out
+
+
+def _exact_covers(width, rows):
+    """Every exact cover of columns 0..width-1, each as a mask over row indices."""
+    return _search(
+        width, rows, [0], _cross, lambda pairs: [m | 1 << r for ms, r in pairs for m in ms]
+    )
+
+
+def count_exact_covers(width, rows):
+    """The number of exact covers of columns 0..width-1, without listing them."""
+    return _search(width, rows, 1, math.prod, lambda pairs: sum(n for n, _ in pairs))
 
 
 def _row_masks(width, rows):
@@ -425,12 +422,8 @@ def _weight_rows(ts):
 def _two_valued_masks(ts):
     """The sets of outcomes valued 1 by the two-valued weights, as bitmasks."""
     rows = _weight_rows(ts)
-    free = [0]
-    for r, row in enumerate(rows):
-        if not row:
-            free += [f | 1 << r for f in free]
-    covers = _exact_covers(len(ts.tests), rows)
-    return sorted(cover | f for cover in covers for f in free)
+    free = [[0, 1 << r] for r, row in enumerate(rows) if not row]
+    return sorted(_cross([_exact_covers(len(ts.tests), rows), *free]))
 
 
 def enumerate_two_valued_weights(ts):

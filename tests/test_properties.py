@@ -1,10 +1,14 @@
-"""Property tests: text round trips, and isomorphism under relabelling.
+"""Property tests: text round trips, isomorphism under relabelling, states.
 
 Hypothesis draws Greechie diagrams, partition logics and partition test
 spaces.  Serializing what parsing the canonical text gives back must
 reproduce the text, and every table of at most about 30 elements must be
 found isomorphic to a copy with fresh names listed in a shuffled order,
-through a map that an independent check of the sums accepts.  The runs are
+through a map that an independent check of the sums accepts.  On drawn
+orthoalgebra pastings, whose atom names are random, so their order says
+nothing of the structure, the two-valued states must match the brute-force
+oracle, and a prime pasting must come back, prime and isomorphic through a
+sum-preserving map, from the pasting of its partition logic.  The runs are
 derandomized and bounded, so they repeat exactly.
 """
 
@@ -16,6 +20,7 @@ from hypothesis import assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 import partlogic as P  # noqa: E402
+from conftest import brute_force_states  # noqa: E402
 from partlogic.formats import parse_any, serialize  # noqa: E402
 
 bounded = settings(derandomize=True, max_examples=60, deadline=None)
@@ -89,7 +94,9 @@ def relabelled(t, order):
 
 def sums_preserved(t1, t2, mapping):
     """The map is a bijection onto t2's elements carrying t1's sums to t2's."""
-    if sorted(mapping.values()) != sorted(t2.elements):
+    # sets, not sorted lists: `<` on point-set labels is only a partial order
+    values = set(mapping.values())
+    if len(values) != len(mapping) or values != set(t2.elements):
         return False
     moved = {(mapping[a], mapping[b]): mapping[c] for (a, b), c in t1.table.items()}
     return moved == t2.table
@@ -118,3 +125,33 @@ def test_pasting_is_isomorphic_to_relabelled_copy(diagram, data):
 @given(partition_logics(), st.data())
 def test_partition_logic_is_isomorphic_to_relabelled_copy(pl, data):
     isomorphic_to_relabelled(P.pasting_to_oa(pl), data)
+
+
+def orthoalgebra_pasting(diagram):
+    """The pasting of the diagram, if it pastes into an orthoalgebra."""
+    try:
+        t = P.from_greechie(diagram)
+    except P.PastingError:
+        assume(False)
+    assume(P.verify_oa(t).passed)
+    return t
+
+
+@bounded
+@given(diagrams())
+def test_fast_states_match_brute_force(diagram):
+    t = orthoalgebra_pasting(diagram)
+    got = sorted(s.bits for s in P.enumerate_two_valued_states(t))
+    assert got == brute_force_states(t)
+
+
+@bounded
+@given(diagrams())
+def test_partition_logic_of_a_prime_pasting_pastes_back(diagram):
+    t = orthoalgebra_pasting(diagram)
+    assume(P.is_prime(t))
+    u = P.pasting_to_oa(P.oa_to_partition_logic(t))
+    assert P.is_prime(u)
+    iso = P.isomorphic(t, u)
+    assert iso is not None
+    assert sums_preserved(t, u, iso.mapping)
