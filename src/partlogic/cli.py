@@ -89,7 +89,13 @@ def _load(token):
     path = Path(token)
     if not path.is_file():
         raise StructureError("no such file or corpus entry: %s" % token)
-    kind, payload = parse_any(path.read_text())
+    try:
+        text = path.read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = exc.object.count(b"\n", 0, exc.start) + 1
+        message = "byte 0x%02x is not UTF-8" % exc.object[exc.start]
+        raise ParseError(message, line) from None
+    kind, payload = parse_any(text)
     if kind in ("mealy", "moore"):
         kind = "automaton"
     if kind == "pts":

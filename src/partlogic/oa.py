@@ -519,25 +519,28 @@ def mackey_decompositions(table, a, b):
 # pastings of Boolean blocks
 
 
-class UnionFind:
-    """Disjoint sets over hashable items; an item joins on first mention."""
+def _perspective_classes(insides):
+    """The perspectivity classes of the events of a family of tests.
 
-    def __init__(self):
-        self.parent = {}
+    Each entry of insides lists one test's events by bitmask, so reversing
+    it pairs each event h with t - h.  The events t - h over the tests t
+    holding h share the local complement h, so each is united with the first
+    one seen.  Returns find, which maps an event to the root of its class.
+    """
+    parent = {}
 
-    def find(self, x):
-        parent = self.parent
-        root = parent.setdefault(x, x)
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:
-            parent[x], x = root, parent[x]
-        return root
+    def find(x):
+        # path halving: each step points x at its grandparent
+        while parent.setdefault(x, x) != x:
+            parent[x] = x = parent[parent[x]]
+        return x
 
-    def union(self, x, y):
-        rx, ry = self.find(x), self.find(y)
-        if rx != ry:
-            self.parent[rx] = ry
+    first = {}
+    for inside in insides:
+        for h, rest in zip(inside, reversed(inside)):
+            # one root under the other; a no-op when they are one class
+            parent[find(rest)] = find(first.setdefault(h, rest))
+    return find
 
 
 def subset_unions(sets):
@@ -566,6 +569,12 @@ def _splits(k):
         right = sum(1 << i for i, s in enumerate(split) if s == 2)
         out.append((left, right, left | right))
     return tuple(out)
+
+
+@functools.cache
+def _combination_order(n):
+    """The masks below n by size, each size in itertools.combinations order."""
+    return sorted(range(n), key=lambda m: (m.bit_count(), list(bits(m))))
 
 
 def block_sums(pieces):
@@ -652,77 +661,59 @@ class GreechieDiagram:
 def from_greechie(diagram):
     """Paste a diagram's block algebras into one quasi-orthoalgebra.
 
-    Nodes (block, atom subset) are identified by the equivalence generated
-    by equal subsets of shared atoms and by their complements in the two
-    blocks (the empty and the full sets among them).  Complementing maps
-    these generators onto each other, so every class's complement is a
-    class.  The sum glues within each block.
+    The diagram is read as a test space whose tests are its blocks, and the
+    pasting is its logic: events, the atom sets inside a block, are
+    identified up to perspectivity (t - h ~ t' - h when blocks t and t' both
+    hold h), the classes of `_perspective_classes`.  A class is named by its
+    atom when it holds one, else through its complement or by its smallest
+    event.  The sum glues within each block.
     """
-    blk_atoms = [frozenset(b) for b in diagram.blocks]
-    classes = UnionFind()
-    # blocks without a common atom share only the empty set, which ties
-    # their 0s and their 1s; the first loop ties those for every block
-    for i, atoms in enumerate(blk_atoms):
-        classes.union((i, frozenset()), (0, frozenset()))
-        classes.union((i, atoms), (0, blk_atoms[0]))
-    for i, j in _meeting(diagram.blocks):
-        for shared in subsets(blk_atoms[i] & blk_atoms[j]):
-            classes.union((i, shared), (j, shared))
-            classes.union((i, blk_atoms[i] - shared), (j, blk_atoms[j] - shared))
-    find = classes.find
-
-    def comp_node(n):
-        bi, subset = n
-        return (bi, blk_atoms[bi] - subset)
-
-    # classes are met in node order (block, subset size, atom order); of
-    # two complementary unnamed classes the first met gets the plain label
-    nodes = [
-        (bi, frozenset(combo))
-        for bi, blk in enumerate(diagram.blocks)
-        for r in range(len(blk) + 1)
-        for combo in itertools.combinations(blk, r)
-    ]
-    zero_root = find((0, frozenset()))
-    one_root = find((0, blk_atoms[0]))
-    if zero_root == one_root:
+    insides = [subsets(blk) for blk in diagram.blocks]
+    find = _perspective_classes(insides)
+    zero, one = find(frozenset()), find(insides[0][-1])
+    if zero == one:
         raise PastingError("pasting identifies 0 with 1")
-    if any(find(n) == find(comp_node(n)) for n in nodes):
+    comp = {
+        find(h): find(rest)
+        for inside in insides
+        for h, rest in zip(inside, reversed(inside))
+    }
+    if any(root == c for root, c in comp.items()):
         raise PastingError("pasting identifies a class with its own complement")
 
-    groups = defaultdict(list)
-    for n in nodes:
-        groups[find(n)].append(n)
-    reps = {
-        root: min(members, key=lambda n: (len(n[1]), cell_key(n[1]), n[0]))
-        for root, members in groups.items()
-    }
-    labels = {zero_root: "0", one_root: "1"}
-    for root, members in groups.items():
+    # events ascend by size and atom names, so each class meets its
+    # representative, the smallest event, first; a single atom names it
+    rep = {}
+    events = {e for inside in insides for e in inside}
+    for e in sorted(events, key=lambda e: (len(e), cell_key(e))):
+        rep.setdefault(find(e), e)
+    labels = {zero: "0", one: "1"}
+    for root, e in rep.items():
+        if len(e) == 1:
+            labels.setdefault(root, str(*e))
+    # classes are met in (block, subset size, atom order); of two
+    # complementary unnamed classes the first met gets the plain label
+    for root in dict.fromkeys(
+        find(inside[m]) for inside in insides for m in _combination_order(len(inside))
+    ):
         if root not in labels:
-            singles = [str(a) for _, s in members if len(s) == 1 for a in s]
-            labels[root] = min(singles, default=None)
-    for root in groups:
-        if labels[root] is None:
-            comp_label = labels[find(comp_node(reps[root]))]
+            comp_label = labels.get(comp[root])
             if comp_label not in (None, "0", "1") and "'" not in comp_label:
                 labels[root] = comp_label + "'"
             else:
-                labels[root] = "+".join(cell_key(reps[root][1]))
+                labels[root] = "+".join(cell_key(rep[root]))
     if len(set(labels.values())) != len(labels):
         raise PastingError("pasting produced colliding element labels")
 
     # 0 is the only class of empty sets and 1 holds only full blocks, so
     # this sorts 0, the atoms, the larger classes, then 1
     roots = sorted(
-        groups,
-        key=lambda root: (root == one_root, len(reps[root][1]), labels[root]),
+        rep,
+        key=lambda root: (root == one, len(rep[root]), labels[root]),
     )
-    pieces = [
-        [labels[find((bi, subset))] for subset in subsets(blk)]
-        for bi, blk in enumerate(diagram.blocks)
-    ]
-    oplus, clash = block_sums(pieces)
+    oplus, clash = block_sums(
+        [[labels[find(e)] for e in inside] for inside in insides]
+    )
     if clash is not None:
         _, a, b = clash
         raise PastingError(

@@ -1,5 +1,11 @@
 """Foulis-Randall test spaces: events, perspectivity, weights, partition test spaces.
 
+Each distinct test's events are listed once, by bitmask over its outcomes;
+`events`, `is_algebraic` and `pi_logic` read that list.  `pi_logic` takes
+its perspectivity classes from `oa._perspective_classes`, which pastes
+Greechie diagrams too: `from_greechie` is the logic of a diagram's test
+space, its classes named by atoms rather than by their smallest events.
+
 The exponential searches are exact-cover questions, answered by one search,
 `_search`.  Rows are int masks over the columns.  The search splits the
 uncovered columns into the components that fitting rows link, branches on
@@ -21,6 +27,7 @@ callers:
 event.
 """
 
+import functools
 import itertools
 import math
 from collections import defaultdict
@@ -32,8 +39,8 @@ from .errors import AlgebraicityError, SeparationError, StructureError
 from .oa import (
     AxiomReport,
     FiniteQuasiOrthoalgebra,
-    UnionFind,
     Violation,
+    _perspective_classes,
     bits,
     block_sums,
     cell_key,
@@ -189,12 +196,15 @@ class TestSpace:
     def event_key(self, event):
         return (len(event), tuple(sorted(self._key(x) for x in event)))
 
+    @functools.cached_property
+    def _insides(self):
+        """Each distinct test's events, listed by bitmask over its outcomes."""
+        return [subsets(sorted(t, key=self._key)) for t in dict.fromkeys(self.tests)]
+
     def events(self):
         """All subsets of tests, deduplicated, in (size, outcome) order."""
-        seen = set()
-        for t in self.tests:
-            seen.update(subsets(t))
-        return sorted(seen, key=self.event_key)
+        events = {e for inside in self._insides for e in inside}
+        return sorted(events, key=self.event_key)
 
     def is_event(self, subset):
         subset = frozenset(subset)
@@ -304,8 +314,7 @@ def is_algebraic(ts):
     """
     # reversing a test's events, listed by bitmask, pairs h with t - h
     locs, sharing = defaultdict(set), defaultdict(set)
-    for t in ts.tests:
-        inside = subsets(sorted(t, key=ts._key))
+    for inside in ts._insides:
         for h, rest in zip(inside, reversed(inside)):
             locs[h].add(rest)
             sharing[rest].add(h)
@@ -332,36 +341,24 @@ def pi_logic(ts):
         raise AlgebraicityError(
             "test space is not algebraic", witness=check.witness
         )
-    # the events t - h over the tests t containing an event h share the
-    # local complement h, so they are perspective; each test's events are
-    # listed by bitmask, so reversing the list pairs h with t - h
-    classes = UnionFind()
-    subevents = {t: subsets(sorted(t, key=ts._key)) for t in ts.tests}
-    first = {}
-    for inside in subevents.values():
-        for h, rest in zip(inside, reversed(inside)):
-            classes.union(rest, first.setdefault(h, rest))
-
+    find = _perspective_classes(ts._insides)
     # events ascend by event_key, so each class meets its smallest first
-    events = ts.events()
+    # and the representatives ascend too
     rep = {}
-    for e in events:
-        rep.setdefault(classes.find(e), e)
-    label = {e: rep[classes.find(e)] for e in events}
-
-    elements = sorted(rep.values(), key=ts.event_key)
-    zero = label[frozenset()]
-    one = label[min(ts.tests, key=ts.event_key)]
-    oplus, clash = block_sums(
-        [[label[e] for e in inside] for inside in subevents.values()]
-    )
+    for e in ts.events():
+        rep.setdefault(find(e), e)
+    pieces = [[rep[find(e)] for e in inside] for inside in ts._insides]
+    oplus, clash = block_sums(pieces)
     if clash is not None:
         _, a, b = clash
         raise AlgebraicityError(
             "sum of classes %s + %s is not well-defined"
             % (format_label(a), format_label(b))
         )
-    return FiniteQuasiOrthoalgebra(elements, zero, one, oplus)
+    # a piece runs from the empty event to its whole test, and all tests
+    # are perspective through the empty event, so they form the class 1
+    zero, one = pieces[0][0], pieces[0][-1]
+    return FiniteQuasiOrthoalgebra(list(rep.values()), zero, one, oplus)
 
 
 _ZERO, _ONE = Fraction(0), Fraction(1)

@@ -61,6 +61,17 @@ def test_missing_file_is_input_error():
     assert cli(["verify", "/nonexistent/file.txt"]).status == 2
 
 
+def test_file_that_is_not_utf8_is_input_error(tmp_path, capsys):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"atoms: a b\xff\nblock: a b\n")
+    assert main(["verify", str(bad)]) == 2
+    assert capsys.readouterr().out == "error: line 1: byte 0xff is not UTF-8\n"
+    # the line is that of the first bad byte, a truncated sequence included
+    bad.write_bytes(b"atoms: a b\nblock: a b\n\xc3")
+    report = cli(["states", str(bad)])
+    assert (report.status, report.text) == (2, "error: line 3: byte 0xc3 is not UTF-8")
+
+
 def test_undeclared_automaton_values_are_input_errors(tmp_path, capsys):
     header = "states: 1 2\ninputs: t\noutputs: a b\n"
     bad = {

@@ -7,7 +7,8 @@ exception type and message.  The one intended difference: an urn text with
 a repeated or missing `balls` or `colors` line, which the new reader
 rejects and the old one read (the last such line won).  Every CLI command
 on a sample of the mutated files must end in a report, never in an
-exception outside `LogicError`.
+exception outside `LogicError`; a file that is not UTF-8 text ends in an
+input error naming the line of its first bad byte.
 
 Serialized seeded Moore and Mealy machines, plain, mutated the same way,
 and with comments, other spacing, glued keywords, repeated entries and
@@ -108,6 +109,20 @@ def test_cli_commands_on_mutated_files_end_in_a_report(tmp_path):
             argv = [command, str(src)] + ([str(src)] if command == "iso" else [])
             report = cli(argv)
             assert report.status in (0, 1, 2), (text, argv)
+    # 120 more with a byte no UTF-8 text holds put in at a random place:
+    # 0xff or 0xfe never occurs, and a stray continuation byte 0x80 breaks
+    # the count of its sequence; every command reports that byte's line
+    rng = random.Random(2)
+    for i, text in enumerate(mutations(2, 120)):
+        data = text.encode()
+        at = rng.randrange(len(data) + 1)
+        src.write_bytes(data[:at] + rng.choice([b"\xff", b"\xfe", b"\x80"]) + data[at:])
+        line = data.count(b"\n", 0, at) + 1
+        command = COMMANDS[i % len(COMMANDS)]
+        argv = [command, str(src)] + ([str(src)] if command == "iso" else [])
+        report = cli(argv)
+        assert report.status == 2, (data, at, argv)
+        assert report.text.startswith("error: line %d: byte 0x" % line), report.text
 
 
 def machine_texts(seed, count):

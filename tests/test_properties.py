@@ -8,8 +8,10 @@ through a map that an independent check of the sums accepts.  On drawn
 orthoalgebra pastings, whose atom names are random, so their order says
 nothing of the structure, the two-valued states must match the brute-force
 oracle, and a prime pasting must come back, prime and isomorphic through a
-sum-preserving map, from the pasting of its partition logic.  The runs are
-derandomized and bounded, so they repeat exactly.
+sum-preserving map, from the pasting of its partition logic.  A drawn
+diagram that pastes and whose test space is algebraic must paste into a
+table isomorphic, through a sum-preserving map, to the logic of that test
+space.  The runs are derandomized and bounded, so they repeat exactly.
 """
 
 import pytest
@@ -152,6 +154,21 @@ def test_partition_logic_of_a_prime_pasting_pastes_back(diagram):
     assume(P.is_prime(t))
     u = P.pasting_to_oa(P.oa_to_partition_logic(t))
     assert P.is_prime(u)
+    iso = P.isomorphic(t, u)
+    assert iso is not None
+    assert sums_preserved(t, u, iso.mapping)
+
+
+@bounded
+@given(diagrams())
+def test_pasting_is_the_logic_of_the_diagram_test_space(diagram):
+    try:
+        t = P.from_greechie(diagram)
+    except P.PastingError:
+        assume(False)
+    ts = P.TestSpace.from_greechie(diagram)
+    assume(P.is_algebraic(ts))
+    u = P.pi_logic(ts)
     iso = P.isomorphic(t, u)
     assert iso is not None
     assert sums_preserved(t, u, iso.mapping)
