@@ -34,8 +34,8 @@ class _Automaton:
         return machine
 
     def __init__(self, states, inputs, outputs, delta, lam):
-        """Raise unless the label dicts are total, every transition enters and
-        every output is declared, then set the table from them."""
+        """Raise unless the label dicts are total, every transition enters,
+        every output is declared and a state exists; then set the table."""
         states, inputs, outputs = tuple(states), tuple(inputs), tuple(outputs)
         delta, lam = dict(delta), dict(lam)
         moore = self.kind == "moore"
@@ -57,6 +57,8 @@ class _Automaton:
         for where, out in lam.items():
             if out not in out_index:
                 raise StructureError("output %r of %r is not declared" % (out, where))
+        if not states:
+            raise StructureError("empty state set")
         # look the pairs up state by state, the order in which a machine
         # text lists them, so the lookups walk the given dicts in memory order
         keys = list(itertools.product(states, inputs))

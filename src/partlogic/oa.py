@@ -318,6 +318,32 @@ def _minimal(table, mask):
     return [p for p in bits(mask) if not down[p] & mask & ~(1 << p)]
 
 
+def _decompositions(table):
+    """The decompositions of 1 into atoms, and an atom set summing to each element.
+
+    One depth-first search over the atoms in index order adds an atom while
+    the running sum is defined, so it meets each summable atom set once.
+    Sets are int masks over element indices.  Returns (ones, dec): the sets
+    summing to 1, and dec[i], the first set met summing to e_i (else None).
+    """
+    rows = table.rows()
+    atoms = _minimal(table, (1 << len(rows)) - 1)
+    one = table.index(table.one)
+    ones, dec = [], [None] * len(rows)
+    stack = [(table.index(table.zero), 0, 0)]
+    while stack:
+        total, mask, start = stack.pop()
+        if dec[total] is None:
+            dec[total] = mask
+        if total == one:
+            ones.append(mask)
+        for k in range(start, len(atoms)):
+            s = rows[total].get(atoms[k])
+            if s is not None:
+                stack.append((s, mask | 1 << atoms[k], k + 1))
+    return ones, dec
+
+
 def hasse_covers(table):
     """Pairs (a, b) with a < b and nothing strictly between, in index order."""
     _, _, _, up, down = table._kernel()

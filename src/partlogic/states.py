@@ -1,15 +1,24 @@
 """Probability measures on tables: two-valued states, prime ideals, exact solving.
 
-All arithmetic is exact (ints and fractions.Fraction); the enumerator is a
-plain backtracking search whose unit propagation runs over the sum entries
-a + b = c (the pair a + a' = 1 subsumes complement propagation).
+All arithmetic is exact (ints and fractions.Fraction).  Two-valued states
+are exact covers, listed by the search in `cover.py`.  An orthoalgebra's
+states pick one atom from each decomposition of 1 into atoms; any other
+table's states pick one member, valued 1, from each of its sum tests.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .cover import _exact_covers
 from .errors import StructureError
-from .oa import format_label, minimal_nonzero
+from .oa import (
+    QUASI_AXIOMS,
+    _decompositions,
+    _violations,
+    bits,
+    format_label,
+    minimal_nonzero,
+)
 
 
 class TwoValuedState:
@@ -129,85 +138,51 @@ def _sum_entries(table):
     ]
 
 
+def _atom_tests(table):
+    """Exact-cover rows of an orthoalgebra's states: its atoms.
+
+    The columns are the decompositions of 1 into atoms, so a cover picks one
+    atom of each, and it values e_i at 1 iff it meets dec[i], which sums to e_i.
+    That is a state: for a + b = c, dec[a] | dec[b] | dec[c'] and
+    dec[c] | dec[c'] are both decompositions of 1.
+    """
+    ones, dec = _decompositions(table)
+    rows = [0] * len(dec)
+    for j, mask in enumerate(ones):
+        for i in bits(mask):
+            rows[i] |= 1 << j
+    return len(ones), rows, dec
+
+
+def _sum_tests(table):
+    """Exact-cover rows of any table's states: e_i is row i, 1 - s(e_i) row n + i.
+
+    The columns are the tests {1}, {e_i, 1 - s(e_i)} and {a, b, 1 - s(a + b)};
+    each holds exactly one 1 iff s(1) = 1 and s(a) + s(b) = s(a + b).  0 and
+    any element met twice in one test can only be 0, so their rows are empty.
+    """
+    n = len(table.elements)
+    entries = _sum_entries(table)
+    tests = [(table.index(table.one),)] + [(i, n + i) for i in range(n)]
+    tests += [(a, b, n + c) for a, b, c in entries]
+    rows = [0] * (2 * n)
+    for j, test in enumerate(tests):
+        for r in test:
+            rows[r] |= 1 << j
+    for r in [table.index(table.zero)] + [a for a, b, _ in entries if a == b]:
+        rows[r] = 0
+    return len(tests), rows, [1 << i for i in range(n)]
+
+
 def enumerate_two_valued_states(table):
     """The complete list of two-valued states, in value-vector order."""
-    n = len(table.elements)
-    idx = table.index
-    entries = _sum_entries(table)
-    touching = [[] for _ in range(n)]
-    for k, (ia, ib, ic) in enumerate(entries):
-        for i in {ia, ib, ic}:
-            touching[i].append(k)
-
-    val = [None] * n
-    results = []
-
-    def propagate(assignments):
-        """Assign queued (index, bit) pairs and their consequences.
-
-        Returns the trail of set indices, or None on contradiction.
-        """
-        trail = []
-        queue = list(assignments)
-        while queue:
-            i, b = queue.pop()
-            if val[i] is not None:
-                if val[i] != b:
-                    for j in trail:
-                        val[j] = None
-                    return None
-                continue
-            if b not in (0, 1):
-                for j in trail:
-                    val[j] = None
-                return None
-            val[i] = b
-            trail.append(i)
-            for k in touching[i]:
-                ia, ib, ic = entries[k]
-                va, vb, vc = val[ia], val[ib], val[ic]
-                known = (va is not None) + (vb is not None) + (vc is not None)
-                if known == 3:
-                    if va + vb != vc:
-                        for j in trail:
-                            val[j] = None
-                        return None
-                elif known == 2:
-                    if va is None:
-                        queue.append((ia, vc - vb))
-                    elif vb is None:
-                        queue.append((ib, vc - va))
-                    else:
-                        queue.append((ic, va + vb))
-        return trail
-
-    def undo(trail):
-        for j in trail:
-            val[j] = None
-
-    def branch(i):
-        """The tries at the first unset index from i, bit 0 on top."""
-        while i < n and val[i] is not None:
-            i += 1
-        if i == n:
-            results.append(tuple(val))
-            return []
-        return [(i, 1), (i, 0)]
-
-    root = propagate([(idx(table.zero), 0), (idx(table.one), 1)])
-    if root is not None:
-        # (i, b) tries bit b at index i; (None, trail) undoes a try once
-        # every step above it is done
-        stack = [(None, root)] + branch(0)
-        while stack:
-            i, b = stack.pop()
-            if i is None:
-                undo(b)
-                continue
-            trail = propagate([(i, b)])
-            if trail is not None:
-                stack += [(None, trail)] + branch(i + 1)
-    return [TwoValuedState._of_bits(table, bits) for bits in sorted(results)]
+    oa = not _violations(table, QUASI_AXIOMS + ("oavii",))
+    width, rows, values = (_atom_tests if oa else _sum_tests)(table)
+    found = sorted(
+        tuple(1 if v & cover else 0 for v in values)
+        for cover in _exact_covers(width, rows)
+    )
+    return [TwoValuedState._of_bits(table, vector) for vector in found]
 
 
 def is_state(table, s):

@@ -6,22 +6,11 @@ its perspectivity classes from `oa._perspective_classes`, which pastes
 Greechie diagrams too: `from_greechie` is the logic of a diagram's test
 space, its classes named by atoms rather than by their smallest events.
 
-The exponential searches are exact-cover questions, answered by one search,
-`_search`.  Rows are int masks over the columns.  The search splits the
-uncovered columns into the components that fitting rows link, branches on
-the column with the fewest fitting rows, and caches each result by its
-uncovered-column mask.  `count_exact_covers` folds the covers into their
-number and `_exact_covers` into a list of masks over row indices.  Their
-callers:
-
-- two-valued weights (`enumerate_two_valued_weights`,
-  `count_two_valued_weights`, `ts_to_partition_test_space`): the columns are
-  the tests, and row n-1-i holds the tests that contain outcome i, so a
-  cover's row mask is the weight's value mask.  An outcome in no test is
-  free and may be valued 0 or 1.  Listed weights share the two values
-  `Fraction(0)` and `Fraction(1)`;
-- `completion` and `is_complete`: the columns are the base points and the
-  rows are the cells.
+Two-valued weights and completions are exact covers, found by the search
+in `cover.py`.  For weights the columns are the tests and the rows the
+outcomes (`_weight_rows`); an outcome in no test is free.  For completions
+the columns are the base points and the rows the cells.  Listed weights
+share the two values `Fraction(0)` and `Fraction(1)`.
 
 `omp_conditions` works on one orthogonality bitmask over event indices per
 event.
@@ -29,12 +18,12 @@ event.
 
 import functools
 import itertools
-import math
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .atlas import PropertyCheck
+from .cover import _cross, _exact_covers, count_exact_covers
 from .errors import AlgebraicityError, SeparationError, StructureError
 from .oa import (
     AxiomReport,
@@ -48,117 +37,6 @@ from .oa import (
     subsets,
 )
 from .partition import PartitionLogic
-
-
-def _search(width, rows, leaf, product, branch):
-    """Fold every exact cover of columns 0..width-1 by rows, int bitmasks.
-
-    The covers of the uncovered columns depend on those columns alone, which
-    fix the rows that still fit, so each result is cached by their mask
-    (component caching from #SAT).  `leaf` is the result with no column
-    left.  Columns that no fitting row links are independent components,
-    whose results combine by `product`; one component branches on the rows
-    of a column with the fewest fitting rows, and `branch` combines the
-    (result, row) pairs of the rows it tries.  An explicit stack replaces
-    recursion.
-    """
-    col_rows, clash = _row_masks(width, rows)
-    full = (1 << width) - 1
-    done = {0: leaf}
-    parts = {}
-    stack = [(full, (1 << len(rows)) - 1)]
-    while stack:
-        free, fit = stack[-1]
-        if free in done:
-            stack.pop()
-        elif free in parts:
-            stack.pop()
-            children, tried = parts.pop(free)
-            results = [done[c] for c, _ in children]
-            done[free] = product(results) if tried is None else branch(zip(results, tried))
-        else:
-            found = _components(col_rows, rows, free, fit)
-            if len(found) > 1:
-                tried = None
-                children = [(part, own) for part, own, _ in found]
-            else:
-                tried = list(bits(_fewest(col_rows, found[0][2], fit)))
-                children = [(free & ~rows[r], fit & ~clash[r]) for r in tried]
-            parts[free] = (children, tried)
-            stack += [c for c in children if c[0] not in done]
-    return done[full]
-
-
-def _cross(lists):
-    """Every union of one mask from each list."""
-    out = [0]
-    for masks in lists:
-        out = [m | k for m in out for k in masks]
-    return out
-
-
-def _exact_covers(width, rows):
-    """Every exact cover of columns 0..width-1, each as a mask over row indices."""
-    return _search(
-        width, rows, [0], _cross, lambda pairs: [m | 1 << r for ms, r in pairs for m in ms]
-    )
-
-
-def count_exact_covers(width, rows):
-    """The number of exact covers of columns 0..width-1, without listing them."""
-    return _search(width, rows, 1, math.prod, lambda pairs: sum(n for n, _ in pairs))
-
-
-def _row_masks(width, rows):
-    """Per column the mask of rows that hold it; per row the rows it meets."""
-    col_rows = [0] * width
-    for r, row in enumerate(rows):
-        for c in bits(row):
-            col_rows[c] |= 1 << r
-    clash = []
-    for row in rows:
-        meets = 0
-        for c in bits(row):
-            meets |= col_rows[c]
-        clash.append(meets)
-    return col_rows, clash
-
-
-def _fewest(col_rows, free, fit):
-    """The fitting rows of the free column with the fewest of them."""
-    best = None
-    for c in bits(free):
-        fits = col_rows[c] & fit
-        if best is None or fits.bit_count() < best.bit_count():
-            best = fits
-            if best.bit_count() <= 1:
-                break
-    return best
-
-
-def _components(col_rows, rows, free, fit):
-    """The free columns split by the fitting rows that link them.
-
-    Each component comes with its own fitting rows, those that meet it, and
-    with the middle layer of a breadth-first search from its lowest column.
-    Branching there splits a long path of tests in two halves rather than
-    peeling it from one end.
-    """
-    found = []
-    while free:
-        seed = free & -free
-        part, own, layers = seed, 0, [seed]
-        while layers[-1]:
-            reach = 0
-            for c in bits(layers[-1]):
-                for r in bits(col_rows[c] & fit & ~own):
-                    own |= 1 << r
-                    reach |= rows[r]
-            layers.append(reach & ~part)
-            part |= reach
-        found.append((part, own, layers[(len(layers) - 2) // 2]))
-        free &= ~part
-    return found
 
 
 class TestSpace:

@@ -1,0 +1,100 @@
+"""The label-order propagation search for two-valued states, kept as an oracle.
+
+Copied verbatim from `partlogic.states`: `enumerate_two_valued_states`, a
+backtracking search whose unit propagation runs over the sum entries
+a + b = c, with its helper `_sum_entries`.  Only the imports differ.
+"""
+
+from partlogic.states import TwoValuedState
+
+
+def _sum_entries(table):
+    """Index triples (a, b, a + b), one per unordered sum pair, in pair order."""
+    rows = table.rows()
+    return [
+        (i, j, k)
+        for i, row in enumerate(rows)
+        for j, k in row.items()
+        if not (j < i and rows[j].get(i) == k)
+    ]
+
+
+def enumerate_two_valued_states(table):
+    """The complete list of two-valued states, in value-vector order."""
+    n = len(table.elements)
+    idx = table.index
+    entries = _sum_entries(table)
+    touching = [[] for _ in range(n)]
+    for k, (ia, ib, ic) in enumerate(entries):
+        for i in {ia, ib, ic}:
+            touching[i].append(k)
+
+    val = [None] * n
+    results = []
+
+    def propagate(assignments):
+        """Assign queued (index, bit) pairs and their consequences.
+
+        Returns the trail of set indices, or None on contradiction.
+        """
+        trail = []
+        queue = list(assignments)
+        while queue:
+            i, b = queue.pop()
+            if val[i] is not None:
+                if val[i] != b:
+                    for j in trail:
+                        val[j] = None
+                    return None
+                continue
+            if b not in (0, 1):
+                for j in trail:
+                    val[j] = None
+                return None
+            val[i] = b
+            trail.append(i)
+            for k in touching[i]:
+                ia, ib, ic = entries[k]
+                va, vb, vc = val[ia], val[ib], val[ic]
+                known = (va is not None) + (vb is not None) + (vc is not None)
+                if known == 3:
+                    if va + vb != vc:
+                        for j in trail:
+                            val[j] = None
+                        return None
+                elif known == 2:
+                    if va is None:
+                        queue.append((ia, vc - vb))
+                    elif vb is None:
+                        queue.append((ib, vc - va))
+                    else:
+                        queue.append((ic, va + vb))
+        return trail
+
+    def undo(trail):
+        for j in trail:
+            val[j] = None
+
+    def branch(i):
+        """The tries at the first unset index from i, bit 0 on top."""
+        while i < n and val[i] is not None:
+            i += 1
+        if i == n:
+            results.append(tuple(val))
+            return []
+        return [(i, 1), (i, 0)]
+
+    root = propagate([(idx(table.zero), 0), (idx(table.one), 1)])
+    if root is not None:
+        # (i, b) tries bit b at index i; (None, trail) undoes a try once
+        # every step above it is done
+        stack = [(None, root)] + branch(0)
+        while stack:
+            i, b = stack.pop()
+            if i is None:
+                undo(b)
+                continue
+            trail = propagate([(i, b)])
+            if trail is not None:
+                stack += [(None, trail)] + branch(i + 1)
+    return [TwoValuedState._of_bits(table, bits) for bits in sorted(results)]

@@ -56,6 +56,12 @@ def test_moore_run_convention():
     assert P.run(m, "p", []) == ()
 
 
+def test_machine_needs_a_state():
+    for cls, lam in ((P.MooreAutomaton, {}), (P.MealyAutomaton, {("q", "a"): "0"})):
+        with pytest.raises(P.StructureError, match="empty state set"):
+            cls([], ["a"], ["0"], {}, lam)
+
+
 def test_experiment_partition_table11():
     m = mealy_wright()
     part = P.experiment_partition(m, [m.inputs[1]])

@@ -91,6 +91,14 @@ def test_undeclared_automaton_values_are_input_errors(tmp_path, capsys):
         assert "Traceback" not in out + err, name
 
 
+def test_machine_without_states_is_input_error(tmp_path, capsys):
+    # its empty cell list used to end in a max() traceback
+    src = tmp_path / "m0.txt"
+    src.write_text("states:\ninputs: a\noutputs: 0\nlambda: q a -> 0\n")
+    assert main(["from-automaton", str(src)]) == 2
+    assert capsys.readouterr() == ("error: empty state set\n", "")
+
+
 def test_verify_commands():
     assert cli(["verify", "corpus:wright"]).result["class"] == "orthoalgebra"
     assert cli(["verify", "corpus:firefly"]).result["class"] == "omp"

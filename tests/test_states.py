@@ -1,6 +1,5 @@
 """Two-valued states, prime ideals, and exact state-space solving."""
 
-import inspect
 import random
 import sys
 from fractions import Fraction
@@ -263,18 +262,38 @@ def loop_table(k, r=1):
     return P.from_greechie(P.GreechieDiagram(atoms, blocks))
 
 
+def deepest_stack(f, *args):
+    """f(*args) and the deepest Python stack below the call, in frames.
+
+    A generator's resumption is counted as a call, its yield as a return.
+    """
+    depth = deepest = 0
+
+    def profile(frame, event, arg):
+        nonlocal depth, deepest
+        if event == "call":
+            depth += 1
+            deepest = max(deepest, depth)
+        elif event == "return":
+            depth -= 1
+
+    sys.setprofile(profile)
+    try:
+        out = f(*args)
+    finally:
+        sys.setprofile(None)
+    return out, deepest
+
+
 def test_state_search_takes_no_frame_per_branch():
     # the search used to recurse once per branch: 19 frames deep on L_16,
     # and past Python's stack limit on loops of about 1,000 blocks
-    t = loop_table(16)
-    t.rows()
-    limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(len(inspect.stack(0)) + 10)
-    try:
-        found = P.enumerate_two_valued_states(t)
-    finally:
-        sys.setrecursionlimit(limit)
-    assert len(found) == 2207
+    tables = [loop_table(k) for k in (8, 16, 20)]
+    for t in tables:
+        t.rows()
+    depths = [deepest_stack(P.enumerate_two_valued_states, t) for t in tables]
+    assert len(depths[1][0]) == 2207
+    assert depths[0][1] == depths[2][1]
 
 
 def test_state_space_dimension_matches_rank_oracle(tables):
