@@ -69,6 +69,15 @@ def _exact_covers(width, rows):
     )
 
 
+def _matrix(masks, width):
+    """The masks as one row-major 0/1 bytes m, each row a mask's bits high to low.
+
+    Row k is m[k * width:(k + 1) * width]; column j, bit width-1-j, is m[j::width].
+    """
+    digits = ("{:0%db}" % width * len(masks)).format(*masks)
+    return digits.encode().translate(bytes.maketrans(b"01", b"\0\1"))
+
+
 def count_exact_covers(width, rows):
     """The number of exact covers of columns 0..width-1, without listing them."""
     return _search(width, rows, 1, math.prod, lambda pairs: sum(n for n, _ in pairs))

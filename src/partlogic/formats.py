@@ -294,7 +294,8 @@ def parse_any(text):
 
 
 def _fmt_partition(cells):
-    ordered = sorted(sorted(map(str, c)) for c in cells)
+    # the head line joins the points, so they are str, and cells lie inside them
+    ordered = sorted(map(sorted, cells))
     return " | ".join(" ".join(c) for c in ordered)
 
 

@@ -177,6 +177,14 @@ def _only(mask):
     return mask.bit_length() - 1 if mask and not mask & (mask - 1) else None
 
 
+def _bounds(table):
+    """The indices of 0 and 1; raises StructureError unless both are elements."""
+    for name, e in (("zero", table.zero), ("one", table.one)):
+        if e not in table._index:
+            raise StructureError("%s is not an element" % name)
+    return table.index(table.zero), table.index(table.one)
+
+
 def structural_check(table):
     """Raise StructureError unless the raw table is well-formed."""
     seen = set()
@@ -184,10 +192,7 @@ def structural_check(table):
         if e in seen:
             raise StructureError("duplicate element label %s" % format_label(e))
         seen.add(e)
-    if table.zero not in seen:
-        raise StructureError("zero is not an element")
-    if table.one not in seen:
-        raise StructureError("one is not an element")
+    _bounds(table)
     if table.zero == table.one:
         raise StructureError("zero and one coincide")
     for (a, b), c in table.table.items():
@@ -201,7 +206,7 @@ def structural_check(table):
 def _scans(table):
     """Lazy scans for each axiom's counterexamples, as index tuples in scan order."""
     rows, _, comps, _, _ = table._kernel()
-    zero = table.index(table.zero)
+    zero, _ = _bounds(table)
     comp = [_only(c) for c in comps]
     return {
         "oai": ((i, j) for i, j, k in _entries(rows) if rows[j].get(i) != k),

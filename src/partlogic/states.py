@@ -1,18 +1,19 @@
 """Probability measures on tables: two-valued states, prime ideals, exact solving.
 
 All arithmetic is exact (ints and fractions.Fraction).  Two-valued states
-are exact covers, listed by the search in `cover.py`.  An orthoalgebra's
-states pick one atom from each decomposition of 1 into atoms; any other
-table's states pick one member, valued 1, from each of its sum tests.
+are exact covers, found by `cover.py` and made rows in bulk by `_matrix`.
+An orthoalgebra's states pick one atom from each decomposition of 1 into
+atoms; any other table's states pick one member, valued 1, per sum test.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cover import _exact_covers
+from .cover import _exact_covers, _matrix
 from .errors import StructureError
 from .oa import (
     QUASI_AXIOMS,
+    _bounds,
     _decompositions,
     _violations,
     bits,
@@ -178,11 +179,17 @@ def enumerate_two_valued_states(table):
     """The complete list of two-valued states, in value-vector order."""
     oa = not _violations(table, QUASI_AXIOMS + ("oavii",))
     width, rows, values = (_atom_tests if oa else _sum_tests)(table)
-    found = sorted(
-        tuple(1 if v & cover else 0 for v in values)
-        for cover in _exact_covers(width, rows)
+    w = len(rows)
+    m = _matrix(_exact_covers(width, rows), w)
+    count = len(m) // w
+    # row r's 0/1 column over the covers, read as an int in base 256; a
+    # cover holds at most one row of values[i], so their sum is e_i's column
+    by_row = [int.from_bytes(m[w - 1 - r::w], "big") for r in range(w)]
+    columns = b"".join(
+        sum(map(by_row.__getitem__, bits(v))).to_bytes(count, "big") for v in values
     )
-    return [TwoValuedState._of_bits(table, vector) for vector in found]
+    found = sorted(columns[k::count] for k in range(count))
+    return [TwoValuedState._of_bits(table, tuple(vector)) for vector in found]
 
 
 def is_state(table, s):
@@ -243,8 +250,10 @@ def prime_ideal_to_state(table, ideal):
 
 
 def value_columns(table, sts):
-    """Each element's values under the states: their bit tuples transposed."""
-    return list(zip(*[s.bits for s in sts])) if sts else [()] * len(table.elements)
+    """Each element's 0/1 bytes under the states: their bit tuples transposed."""
+    n = len(table.elements)
+    m = b"".join(map(bytes, (s.bits for s in sts)))
+    return [m[i::n] for i in range(n)]
 
 
 def is_prime(table):
@@ -372,8 +381,8 @@ def state_space_solve(table):
     so no state is ever enumerated.
     """
     n = len(table.elements)
-    idx = table.index
-    equations = [(((idx(table.zero), 1),), 0), (((idx(table.one), 1),), 1)]
+    zero, one = _bounds(table)
+    equations = [(((zero, 1),), 0), (((one, 1),), 1)]
     equations += [
         (((ia, 1), (ib, 1), (ic, -1)), 0) for ia, ib, ic in _sum_entries(table)
     ]

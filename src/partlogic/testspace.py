@@ -9,8 +9,8 @@ space, its classes named by atoms rather than by their smallest events.
 Two-valued weights and completions are exact covers, found by the search
 in `cover.py`.  For weights the columns are the tests and the rows the
 outcomes (`_weight_rows`); an outcome in no test is free.  For completions
-the columns are the base points and the rows the cells.  Listed weights
-share the two values `Fraction(0)` and `Fraction(1)`.
+the columns are the base points and the rows the cells.  A listed weight
+keeps its row of `cover._matrix` and builds its values on first use.
 
 `omp_conditions` works on one orthogonality bitmask over event indices per
 event.
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .atlas import PropertyCheck
-from .cover import _cross, _exact_covers, count_exact_covers
+from .cover import _cross, _exact_covers, _matrix, count_exact_covers
 from .errors import AlgebraicityError, SeparationError, StructureError
 from .oa import (
     AxiomReport,
@@ -115,11 +115,9 @@ class PartitionTestSpace:
         for t in self.tests:
             if not t <= cellset:
                 raise StructureError("test uses an undeclared cell")
-            covered = set()
-            for cell in t:
-                if covered & cell:
-                    raise StructureError("test cells overlap")
-                covered |= cell
+            covered = set().union(*t)
+            if len(covered) != sum(map(len, t)):
+                raise StructureError("test cells overlap")
             if covered != pts:
                 raise StructureError("test is not a partition of the base")
         # cells unused by any test are tolerated here: completion may later
@@ -239,27 +237,28 @@ def pi_logic(ts):
     return FiniteQuasiOrthoalgebra(list(rep.values()), zero, one, oplus)
 
 
-_ZERO, _ONE = Fraction(0), Fraction(1)
-_DIGIT_VALUE = {"0": _ZERO, "1": _ONE}
+_VALUES = (Fraction(0), Fraction(1))
 
 
 class Weight:
     """Total rational map on outcomes summing to 1 on every test."""
-
-    __slots__ = ("space", "values")
 
     def __init__(self, space, values):
         self.space = space
         self.values = {x: Fraction(values[x]) for x in space.outcomes}
 
     @classmethod
-    def _of_mask(cls, space, mask):
-        """The two-valued weight valuing outcome i 1 iff bit n-1-i of mask is set."""
+    def _of_row(cls, space, row):
+        """The two-valued weight whose 0/1 bytes over the outcomes are row."""
         weight = cls.__new__(cls)
         weight.space = space
-        digits = format(mask, "0%db" % len(space.outcomes))
-        weight.values = dict(zip(space.outcomes, map(_DIGIT_VALUE.get, digits)))
+        weight._row = row
         return weight
+
+    @functools.cached_property
+    def values(self):
+        """The map outcome -> Fraction; a listed weight builds it on first use."""
+        return dict(zip(self.space.outcomes, map(_VALUES.__getitem__, self._row)))
 
     def __call__(self, x):
         return self.values[x]
@@ -294,16 +293,19 @@ def _weight_rows(ts):
     return [tests_of[x] for x in reversed(ts.outcomes)]
 
 
-def _two_valued_masks(ts):
-    """The sets of outcomes valued 1 by the two-valued weights, as bitmasks."""
+def _two_valued_matrix(ts):
+    """The value vectors of the two-valued weights, in order, as 0/1 byte rows."""
     rows = _weight_rows(ts)
     free = [[0, 1 << r] for r, row in enumerate(rows) if not row]
-    return sorted(_cross([_exact_covers(len(ts.tests), rows), *free]))
+    masks = sorted(_cross([_exact_covers(len(ts.tests), rows), *free]))
+    return _matrix(masks, len(rows))
 
 
 def enumerate_two_valued_weights(ts):
     """All {0,1} weights (one outcome valued 1 per test), by value vector."""
-    return [Weight._of_mask(ts, m) for m in _two_valued_masks(ts)]
+    n = len(ts.outcomes)
+    m = _two_valued_matrix(ts)
+    return [Weight._of_row(ts, m[k:k + n]) for k in range(0, len(m), n)]
 
 
 def count_two_valued_weights(ts):
@@ -319,16 +321,13 @@ def ts_to_partition_test_space(ts):
     a partition of the weight set.  Requires the weights to separate
     outcomes.
     """
-    masks = _two_valued_masks(ts)
-    if not masks:
+    m = _two_valued_matrix(ts)
+    if not m:
         raise SeparationError("no separating two-valued weights")
-    names = ["w%d" % (k + 1) for k in range(len(masks))]
     n = len(ts.outcomes)
-    valued = [[] for _ in ts.outcomes]
-    for name, m in zip(names, masks):
-        for b in bits(m):
-            valued[n - 1 - b].append(name)
-    phi = {x: frozenset(v) for x, v in zip(ts.outcomes, valued)}
+    names = ["w%d" % (k + 1) for k in range(len(m) // n)]
+    cells = [frozenset(itertools.compress(names, m[i::n])) for i in range(n)]
+    phi = dict(zip(ts.outcomes, cells))
 
     # groups are keyed in order of their first outcome, so the first group
     # with two members gives the first inseparable pair in combination order
@@ -341,7 +340,6 @@ def ts_to_partition_test_space(ts):
             raise SeparationError(
                 "outcomes %r and %r are inseparable" % (x, y), pair=(x, y)
             )
-    cells = [phi[x] for x in ts.outcomes]
     tests = [frozenset(phi[x] for x in t) for t in ts.tests]
     return PartitionTestSpace(names, cells, tests)
 

@@ -1,11 +1,24 @@
-"""The label-order propagation search for two-valued states, kept as an oracle.
+"""Replaced code of `partlogic.states`, kept verbatim as test oracles.
 
-Copied verbatim from `partlogic.states`: `enumerate_two_valued_states`, a
+The label-order propagation search: `enumerate_two_valued_states`, a
 backtracking search whose unit propagation runs over the sum entries
-a + b = c, with its helper `_sum_entries`.  Only the imports differ.
+a + b = c, with its helper `_sum_entries`.  And the per-cover conversion of
+exact covers before one 0/1 byte matrix replaced it: the cover listing that
+builds one value tuple per cover, here named `enumerate_cover_states`,
+`value_columns`, which transposes the tuples with `zip`, and `is_prime`,
+which groups elements by those columns.  Only that name and the imports
+differ; in this module `is_prime` takes its states from the propagation
+search, which lists the same states as the cover listing.
 """
 
-from partlogic.states import TwoValuedState
+from partlogic.cover import _exact_covers
+from partlogic.oa import QUASI_AXIOMS, _violations
+from partlogic.states import (
+    PrimenessResult,
+    TwoValuedState,
+    _atom_tests,
+    _sum_tests,
+)
 
 
 def _sum_entries(table):
@@ -98,3 +111,34 @@ def enumerate_two_valued_states(table):
             if trail is not None:
                 stack += [(None, trail)] + branch(i + 1)
     return [TwoValuedState._of_bits(table, bits) for bits in sorted(results)]
+
+
+def enumerate_cover_states(table):
+    """The complete list of two-valued states, in value-vector order."""
+    oa = not _violations(table, QUASI_AXIOMS + ("oavii",))
+    width, rows, values = (_atom_tests if oa else _sum_tests)(table)
+    found = sorted(
+        tuple(1 if v & cover else 0 for v in values)
+        for cover in _exact_covers(width, rows)
+    )
+    return [TwoValuedState._of_bits(table, vector) for vector in found]
+
+
+def value_columns(table, sts):
+    """Each element's values under the states: their bit tuples transposed."""
+    return list(zip(*[s.bits for s in sts])) if sts else [()] * len(table.elements)
+
+
+def is_prime(table):
+    """Whether the two-valued states separate every pair of elements."""
+    sts = enumerate_two_valued_states(table)
+    # elements with equal value columns are inseparable; groups are keyed
+    # in order of their first member, so the first group with two members
+    # gives the first inseparable pair in combination order
+    groups = {}
+    for e, column in zip(table.elements, value_columns(table, sts)):
+        groups.setdefault(column, []).append(e)
+    for group in groups.values():
+        if len(group) > 1:
+            return PrimenessResult(False, None, tuple(group[:2]))
+    return PrimenessResult(True, tuple(sts), None)

@@ -198,6 +198,26 @@ def test_prime_tables_separate_all_pairs(tables):
             assert any(s(a) != s(b) for s in res.separating), eid
 
 
+@pytest.mark.parametrize(
+    "f",
+    [
+        P.enumerate_two_valued_states,
+        P.is_prime,
+        P.oa_to_partition_logic,
+        P.state_space_solve,
+    ],
+)
+@pytest.mark.parametrize(
+    "elements, missing", [(["a", "1"], "zero"), (["0", "a"], "one")]
+)
+def test_missing_zero_or_one_is_a_structure_error(f, elements, missing):
+    t = P.FiniteQuasiOrthoalgebra(elements, "0", "1", {})
+    with pytest.raises(P.StructureError, match="^%s is not an element$" % missing):
+        f(t)
+    with pytest.raises(P.StructureError, match="^%s is not an element$" % missing):
+        P.verify_oa(t)
+
+
 # state_space_solve -----------------------------------------------------------
 
 

@@ -62,6 +62,19 @@ def test_covering_violation():
     assert report.violations[0].axiom == "test-space-covering"
 
 
+def test_partition_test_space_rejects_overlapping_or_short_tests():
+    p, q, pq = fs({"p"}), fs({"q"}), fs({"p", "q"})
+    cases = [
+        (["p", "q"], [fs({p, q, pq})], "test cells overlap"),
+        # overlap is reported before the missing point r
+        (["p", "q", "r"], [fs({p, pq})], "test cells overlap"),
+        (["p", "q", "r"], [fs({p, q})], "test is not a partition of the base"),
+    ]
+    for base, tests, message in cases:
+        with pytest.raises(P.StructureError, match="^%s$" % message):
+            P.PartitionTestSpace(base, [p, q, pq], tests)
+
+
 def test_all_partition_test_spaces_are_test_spaces():
     for pl_id in ("pl-wright", "pl-fig12"):
         pts = P.partition_logic_to_pts(corpus_entry(pl_id).payload)
@@ -620,13 +633,25 @@ def test_listed_weights_hold_exact_zero_one_values():
     rng = random.Random(7)
     spaces = [random_test_space(rng) for _ in range(100)]
     spaces += [wright_test_space(), firefly_test_space(), loop_test_space(9)]
+    zero, one = testspace._VALUES
     for ts in spaces:
         for w in P.enumerate_two_valued_weights(ts):
-            assert all(type(v) is Fraction and v in (0, 1) for v in w.values.values())
+            text = repr(w)  # before anything else reads the listed weight
+            eager = P.Weight(ts, {x: int(w(x)) for x in ts.outcomes})
+            assert text == repr(eager) and w.row() == eager.row()
+            assert [w(x) for x in ts.outcomes] == [eager(x) for x in ts.outcomes]
+            assert w.values == eager.values
+            assert all(v is zero or v is one for v in w.values.values())
             assert P.is_weight(ts, w)
-            # the per-entry construction that the listing used to make
-            old = P.Weight(ts, {x: int(w(x)) for x in ts.outcomes})
-            assert w.row() == old.row() and w.values == old.values
+    ts = firefly_test_space()
+    x, y = ts.outcomes[:2]
+    w = P.Weight(ts, {z: "1/2" if z in (x, y) else 0 for z in ts.outcomes})
+    assert w(x) == Fraction(1, 2) and type(w(ts.outcomes[2])) is Fraction
+    assert not P.is_weight(ts, w)
+    with pytest.raises(KeyError):
+        P.Weight(ts, {x: 1})
+    with pytest.raises(ValueError):
+        P.Weight(ts, dict.fromkeys(ts.outcomes, "x"))
 
 
 def weight_count_cases():
