@@ -4,10 +4,11 @@ The exponential searches are exact-cover questions, answered by one search,
 `_search`.  Rows are int masks over the columns.  The search splits the
 uncovered columns into the components that fitting rows link, branches on
 the column with the fewest fitting rows, and caches each result by its
-uncovered-column mask.  `count_exact_covers` folds the covers into their
-number and `_exact_covers` into a list of masks over row indices.  `states`
-builds rows from a table's atoms or sum equations, `testspace` from a test
-space's outcomes or a partition test space's cells.
+uncovered-column mask; a component found with its middle layer branches
+at once.  `count_exact_covers` folds the covers into their number and
+`_exact_covers` into a list of masks over row indices.  `states` builds
+rows from a table's atoms or sum equations, `testspace` from a test space's
+outcomes or a partition test space's cells.
 """
 
 import math
@@ -24,31 +25,37 @@ def _search(width, rows, leaf, product, branch):
     left.  Columns that no fitting row links are independent components,
     whose results combine by `product`; one component branches on the rows
     of a column with the fewest fitting rows, and `branch` combines the
-    (result, row) pairs of the rows it tries.  An explicit stack replaces
-    recursion.
+    (result, row) pairs of the rows it tries.  A product node hands each
+    component its fitting rows and middle layer, so the child branches at
+    once; one free column is answered on the spot, since the rows that fit
+    it are the rows equal to it.  An explicit stack replaces recursion.
     """
     col_rows, clash = _row_masks(width, rows)
     full = (1 << width) - 1
     done = {0: leaf}
     parts = {}
-    stack = [(full, (1 << len(rows)) - 1)]
+    stack = [(full, (1 << len(rows)) - 1, None)]
     while stack:
-        free, fit = stack[-1]
+        free, fit, middle = stack[-1]
         if free in done:
             stack.pop()
         elif free in parts:
             stack.pop()
             children, tried = parts.pop(free)
-            results = [done[c] for c, _ in children]
+            results = [done[c[0]] for c in children]
             done[free] = product(results) if tried is None else branch(zip(results, tried))
+        elif not free & (free - 1):
+            stack.pop()
+            done[free] = branch((leaf, r) for r in bits(col_rows[free.bit_length() - 1] & fit))
         else:
-            found = _components(col_rows, rows, free, fit)
-            if len(found) > 1:
-                tried = None
-                children = [(part, own) for part, own, _ in found]
-            else:
-                tried = list(bits(_fewest(col_rows, found[0][2], fit)))
-                children = [(free & ~rows[r], fit & ~clash[r]) for r in tried]
+            tried = None
+            if middle is None:
+                children = _components(col_rows, rows, free, fit)
+                if len(children) == 1:
+                    _, fit, middle = children[0]
+            if middle is not None:
+                tried = list(bits(_fewest(col_rows, middle, fit)))
+                children = [(free & ~rows[r], fit & ~clash[r], None) for r in tried]
             parts[free] = (children, tried)
             stack += [c for c in children if c[0] not in done]
     return done[full]
@@ -87,13 +94,17 @@ def _row_masks(width, rows):
     """Per column the mask of rows that hold it; per row the rows it meets."""
     col_rows = [0] * width
     for r, row in enumerate(rows):
-        for c in bits(row):
-            col_rows[c] |= 1 << r
+        while row:
+            low = row & -row
+            col_rows[low.bit_length() - 1] |= 1 << r
+            row ^= low
     clash = []
     for row in rows:
         meets = 0
-        for c in bits(row):
-            meets |= col_rows[c]
+        while row:
+            low = row & -row
+            meets |= col_rows[low.bit_length() - 1]
+            row ^= low
         clash.append(meets)
     return col_rows, clash
 
@@ -101,12 +112,14 @@ def _row_masks(width, rows):
 def _fewest(col_rows, free, fit):
     """The fitting rows of the free column with the fewest of them."""
     best = None
-    for c in bits(free):
-        fits = col_rows[c] & fit
+    while free:
+        low = free & -free
+        fits = col_rows[low.bit_length() - 1] & fit
         if best is None or fits.bit_count() < best.bit_count():
             best = fits
             if best.bit_count() <= 1:
                 break
+        free ^= low
     return best
 
 
@@ -123,11 +136,18 @@ def _components(col_rows, rows, free, fit):
         seed = free & -free
         part, own, layers = seed, 0, [seed]
         while layers[-1]:
+            held, layer = 0, layers[-1]
+            while layer:
+                low = layer & -layer
+                held |= col_rows[low.bit_length() - 1]
+                layer ^= low
+            new = held & fit & ~own
+            own |= new
             reach = 0
-            for c in bits(layers[-1]):
-                for r in bits(col_rows[c] & fit & ~own):
-                    own |= 1 << r
-                    reach |= rows[r]
+            while new:
+                low = new & -new
+                reach |= rows[low.bit_length() - 1]
+                new ^= low
             layers.append(reach & ~part)
             part |= reach
         found.append((part, own, layers[(len(layers) - 2) // 2]))

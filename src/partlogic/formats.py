@@ -6,6 +6,7 @@ the given cell order, which matters for automaton output indices.
 """
 
 import re
+from itertools import chain
 
 from .atlas import BooleanAtlas, BooleanChart
 from .automata import MealyAutomaton, MooreAutomaton
@@ -293,18 +294,21 @@ def parse_any(text):
     return kind, _PARSERS[kind](lines)
 
 
-def _fmt_partition(cells):
-    # the head line joins the points, so they are str, and cells lie inside them
-    ordered = sorted(map(sorted, cells))
-    return " | ".join(" ".join(c) for c in ordered)
-
-
 def _family_text(head, points, row, families):
-    """A head line of sorted points, then one sorted row per partition."""
+    """A head line of sorted points, then one sorted row per partition.
+
+    A row orders its cells as sorted name lists; the rows ascend as text.
+    Each distinct cell is sorted and joined once.
+    """
+    # the head line joins the points, so they are str, and cells lie inside them
+    known = {}
+    for cell in chain.from_iterable(families):
+        if cell not in known:
+            names = sorted(cell)
+            known[cell] = names, " ".join(names)
+    rows = (" | ".join([t for _, t in sorted(map(known.__getitem__, f))]) for f in families)
     lines = [head + ": " + " ".join(sorted(points, key=str))]
-    for part in sorted(_fmt_partition(f) for f in families):
-        lines.append(row + ": " + part)
-    lines.append("")
+    lines += [row + ": " + part for part in sorted(rows)] + [""]
     return "\n".join(lines)
 
 

@@ -1,9 +1,9 @@
 """Partition logics, urn models, their pastings, and logic isomorphism.
 
 Point sets are made once and shared: `oa_to_partition_logic` makes one
-support per element, from the states' bits transposed once; `PartitionLogic`
-checks each distinct partition once; `pasting_to_oa` keeps one object per
-distinct cell union.
+support per element, from the columns sliced once off the states' joined
+0/1 rows; `PartitionLogic` checks each distinct partition once;
+`pasting_to_oa` keeps one object per distinct cell union.
 """
 
 from collections import defaultdict
@@ -17,7 +17,7 @@ from .oa import (
     format_label,
     subset_unions,
 )
-from .states import TwoValuedState, is_prime, value_columns
+from .states import TwoValuedState, _primeness
 
 
 class PartitionLogic:
@@ -133,7 +133,7 @@ def oa_to_partition_logic(table):
     pair x, y yields the partition {p(x), p(y), p((x+y)')} with empty cells
     dropped.
     """
-    primeness = is_prime(table)
+    primeness, columns = _primeness(table)
     if not primeness:
         a, b = primeness.inseparable
         raise PrimenessError(
@@ -146,7 +146,7 @@ def oa_to_partition_logic(table):
     # the states valuing x at 1, i.e. the prime ideals omitting x; a state
     # values x' at 1 exactly when it values x at 0, so p((x+y)') is the
     # support of the complement, and equal cells are one object
-    support = [frozenset(compress(names, column)) for column in value_columns(table, sts)]
+    support = [frozenset(compress(names, column)) for column in columns]
     elements, index, complement = table.elements, table.index, table.complement
 
     partitions = []

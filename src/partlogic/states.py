@@ -175,8 +175,8 @@ def _sum_tests(table):
     return len(tests), rows, [1 << i for i in range(n)]
 
 
-def enumerate_two_valued_states(table):
-    """The complete list of two-valued states, in value-vector order."""
+def _state_rows(table):
+    """The two-valued states' 0/1 bytes over the elements, in value-vector order."""
     oa = not _violations(table, QUASI_AXIOMS + ("oavii",))
     width, rows, values = (_atom_tests if oa else _sum_tests)(table)
     w = len(rows)
@@ -188,8 +188,12 @@ def enumerate_two_valued_states(table):
     columns = b"".join(
         sum(map(by_row.__getitem__, bits(v))).to_bytes(count, "big") for v in values
     )
-    found = sorted(columns[k::count] for k in range(count))
-    return [TwoValuedState._of_bits(table, tuple(vector)) for vector in found]
+    return sorted(columns[k::count] for k in range(count))
+
+
+def enumerate_two_valued_states(table):
+    """The complete list of two-valued states, in value-vector order."""
+    return [TwoValuedState._of_bits(table, tuple(row)) for row in _state_rows(table)]
 
 
 def is_state(table, s):
@@ -249,26 +253,27 @@ def prime_ideal_to_state(table, ideal):
     )
 
 
-def value_columns(table, sts):
-    """Each element's 0/1 bytes under the states: their bit tuples transposed."""
-    n = len(table.elements)
-    m = b"".join(map(bytes, (s.bits for s in sts)))
-    return [m[i::n] for i in range(n)]
-
-
-def is_prime(table):
-    """Whether the two-valued states separate every pair of elements."""
-    sts = enumerate_two_valued_states(table)
+def _primeness(table):
+    """is_prime(table), and each element's 0/1 bytes under the states."""
+    rows = _state_rows(table)
+    m, n = b"".join(rows), len(table.elements)
+    columns = [m[i::n] for i in range(n)]
     # elements with equal value columns are inseparable; groups are keyed
     # in order of their first member, so the first group with two members
     # gives the first inseparable pair in combination order
     groups = {}
-    for e, column in zip(table.elements, value_columns(table, sts)):
+    for e, column in zip(table.elements, columns):
         groups.setdefault(column, []).append(e)
     for group in groups.values():
         if len(group) > 1:
-            return PrimenessResult(False, None, tuple(group[:2]))
-    return PrimenessResult(True, tuple(sts), None)
+            return PrimenessResult(False, None, tuple(group[:2])), columns
+    sts = tuple(TwoValuedState._of_bits(table, tuple(row)) for row in rows)
+    return PrimenessResult(True, sts, None), columns
+
+
+def is_prime(table):
+    """Whether the two-valued states separate every pair of elements."""
+    return _primeness(table)[0]
 
 
 def _subtract(row, coef, other):

@@ -11,6 +11,8 @@ in `cover.py`.  For weights the columns are the tests and the rows the
 outcomes (`_weight_rows`); an outcome in no test is free.  For completions
 the columns are the base points and the rows the cells.  A listed weight
 keeps its row of `cover._matrix` and builds its values on first use.
+`ts_to_partition_test_space` reads its columns as point sets and checks
+each test on its outcomes' columns (sums and counts), not the constructor.
 
 `omp_conditions` works on one orthogonality bitmask over event indices per
 event.
@@ -102,10 +104,8 @@ class PartitionTestSpace:
 
     def __init__(self, base, cells, tests):
         self.base = tuple(base)
-        self.cells = tuple(frozenset(c) for c in dict.fromkeys(frozenset(c) for c in cells))
-        self.tests = tuple(
-            frozenset(frozenset(c) for c in t) for t in tests
-        )
+        self.cells = tuple(dict.fromkeys(map(frozenset, cells)))
+        self.tests = tuple(frozenset(map(frozenset, t)) for t in tests)
         pts = set(self.base)
         if not pts:
             raise StructureError("empty base set")
@@ -128,6 +128,13 @@ class PartitionTestSpace:
                 raise StructureError("empty cell")
             if not cell <= pts:
                 raise StructureError("cell leaves the base set")
+
+    @classmethod
+    def _of_parts(cls, base, cells, tests):
+        """A space from distinct cells and tests known to partition base."""
+        pts = cls.__new__(cls)
+        pts.base, pts.cells, pts.tests = tuple(base), tuple(cells), tuple(tests)
+        return pts
 
     def as_test_space(self):
         """Reinterpret with outcome set Y = cells."""
@@ -319,29 +326,43 @@ def ts_to_partition_test_space(ts):
 
     Each outcome becomes the set of weights valuing it 1; each test becomes
     a partition of the weight set.  Requires the weights to separate
-    outcomes.
+    outcomes and each outcome to be valued 1 by some weight.
     """
     m = _two_valued_matrix(ts)
     if not m:
         raise SeparationError("no separating two-valued weights")
     n = len(ts.outcomes)
-    names = ["w%d" % (k + 1) for k in range(len(m) // n)]
-    cells = [frozenset(itertools.compress(names, m[i::n])) for i in range(n)]
-    phi = dict(zip(ts.outcomes, cells))
+    columns = [m[i::n] for i in range(n)]
 
     # groups are keyed in order of their first outcome, so the first group
     # with two members gives the first inseparable pair in combination order
     groups = {}
-    for x in ts.outcomes:
-        groups.setdefault(phi[x], []).append(x)
+    for x, column in zip(ts.outcomes, columns):
+        groups.setdefault(column, []).append(x)
     for group in groups.values():
         if len(group) > 1:
             x, y = group[:2]
             raise SeparationError(
                 "outcomes %r and %r are inseparable" % (x, y), pair=(x, y)
             )
-    tests = [frozenset(phi[x] for x in t) for t in ts.tests]
-    return PartitionTestSpace(names, cells, tests)
+    for x, column in zip(ts.outcomes, columns):
+        if 1 not in column:
+            raise SeparationError("no two-valued weight values outcome %r at 1" % (x,))
+    # read as ints, a test's columns sum to the all-ones int with one 1 per
+    # weight in all exactly when every weight lies in one of its cells; the
+    # count rules out carries, each of which turns 256 in a digit into 1
+    w = len(m) // n
+    value = dict(zip(ts.outcomes, (int.from_bytes(c, "big") for c in columns)))
+    count = dict(zip(ts.outcomes, (c.count(1) for c in columns)))
+    ones = int.from_bytes(b"\1" * w, "big")
+    for t in ts.tests:
+        if sum(map(value.__getitem__, t)) != ones or sum(map(count.__getitem__, t)) != w:
+            raise StructureError("test is not a partition of the base")
+    names = ["w%d" % (k + 1) for k in range(w)]
+    cells = [frozenset(itertools.compress(names, column)) for column in columns]
+    phi = dict(zip(ts.outcomes, cells))
+    tests = [frozenset(map(phi.__getitem__, t)) for t in ts.tests]
+    return PartitionTestSpace._of_parts(names, cells, tests)
 
 
 def _partitions(pts):

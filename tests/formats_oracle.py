@@ -1,7 +1,10 @@
 """Verbatim copies of the line parsers as they were before `formats._read`.
 
 `tests/test_formats_oracle.py` compares them with `partlogic.formats` on
-mutated texts.  Only the imports and this docstring are new.
+mutated texts.  At the end, the partition writer as it stood before each
+cell was sorted once per call: `_fmt_partition`, which sorts a cell again
+for every family holding it, and `_family_text`.  Only the imports and this
+docstring are new.
 """
 
 from partlogic.atlas import BooleanAtlas, BooleanChart
@@ -249,3 +252,17 @@ def parse_any(text):
     kind = _kind(lines)
     return kind, _PARSERS[kind](lines)
 
+
+def _fmt_partition(cells):
+    # the head line joins the points, so they are str, and cells lie inside them
+    ordered = sorted(map(sorted, cells))
+    return " | ".join(" ".join(c) for c in ordered)
+
+
+def _family_text(head, points, row, families):
+    """A head line of sorted points, then one sorted row per partition."""
+    lines = [head + ": " + " ".join(sorted(points, key=str))]
+    for part in sorted(_fmt_partition(f) for f in families):
+        lines.append(row + ": " + part)
+    lines.append("")
+    return "\n".join(lines)

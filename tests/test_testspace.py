@@ -4,6 +4,7 @@ import functools
 import itertools
 import operator
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -692,3 +693,50 @@ def test_weight_count_on_large_inputs():
     singletons = P.TestSpace(outcomes, [{x} for x in outcomes])
     assert P.count_two_valued_weights(singletons) == 1
     assert P.count_two_valued_weights(loop_test_space(1000)) == lucas(1000)
+
+
+def test_outcome_that_no_weight_values_is_named():
+    # covering and antichain hold, but every weight values o1 or o3 at 1,
+    # so none values o6, whose cell would be empty
+    ts = P.TestSpace(
+        ["o%d" % i for i in range(7)],
+        [["o1", "o3"], ["o0", "o1", "o4", "o6"], ["o2", "o3", "o5", "o6"]],
+    )
+    assert P.verify_test_space(ts).structure_class == "test_space"
+    with pytest.raises(P.SeparationError) as err:
+        P.ts_to_partition_test_space(ts)
+    assert str(err.value) == "no two-valued weight values outcome 'o6' at 1"
+
+
+def test_partition_check_sees_through_carries(monkeypatch):
+    # a matrix no search gives: the last weight values all 257 outcomes of
+    # the one test, whose base-256 digit carries, so the columns still sum
+    # to the all-ones int; only the count of 1s shows the overlap
+    n = 257
+    ts = P.TestSpace(["o%d" % i for i in range(n)], [["o%d" % i for i in range(n)]])
+    rows = [[int(i == k) for i in range(n)] for k in range(256)] + [[0] * n, [1] * n]
+    monkeypatch.setattr(testspace, "_two_valued_matrix", lambda ts: bytes(sum(rows, [])))
+    with pytest.raises(P.StructureError, match="^test is not a partition of the base$"):
+        P.ts_to_partition_test_space(ts)
+
+
+def test_weight_listing_memory_is_pinned():
+    # the cover search holds every subproblem's list until it returns: a
+    # 19.1 MB peak for the Lucas(24) = 103,682 weights of the 24-block loop,
+    # 4.12 times a plain list of as many 48-bit ints (4.63 MB) on Python 3.11
+    ts = loop_test_space(24)
+    tracemalloc.start()
+    try:
+        m = testspace._two_valued_matrix(ts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(m) == lucas(24) * len(ts.outcomes)
+    tracemalloc.start()
+    try:
+        masks = [(1 << 47) + k for k in range(lucas(24))]
+        size = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(masks) == lucas(24)
+    assert peak <= 4.5 * size
