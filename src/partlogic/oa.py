@@ -248,6 +248,15 @@ def _violations(table, axioms):
     )
 
 
+def _is_orthoalgebra(table):
+    """Whether the table passes the quasi axioms and associativity.
+
+    Two-valued states are read off the atomic tests, and `blocks` prunes its
+    candidates by compatibility, only on tables that pass.
+    """
+    return not _violations(table, QUASI_AXIOMS + ("oavii",))
+
+
 def verify_quasi_oa(table):
     """Check the six quasi-orthoalgebra axioms exhaustively."""
     structural_check(table)
@@ -423,16 +432,39 @@ def boolean_atoms(table, subset):
     return atoms, {key: el[v] for key, v in zip(subsets(atoms), sums)}
 
 
+def _compatible(table, p):
+    """Mask of the elements x that pass a necessary test of compatibility with e_p.
+
+    x passes when e_p <= x, when e_p + x is defined, or when nonzero
+    elements under e_p lie under x and under x'.  In an orthoalgebra two
+    members of one Boolean subalgebra pass: e_p is the sum of its part
+    under x and its part under x'.
+    """
+    _, partners, comps, up, down = table._kernel()
+    over = 0
+    for d in bits(down[p] & ~(1 << table.index(table.zero))):
+        over |= up[d]
+    split = sum(1 << x for x in bits(over) if comps[x] & over)
+    return up[p] | partners[p] | split
+
+
 def blocks(table):
     """All maximal Boolean sub-structures, as element tuples in index order.
 
-    Grown breadth-first: extend each Boolean closed subset by one element,
-    keep the extensions that close to Boolean sets, and report the subsets
-    admitting none.
+    Grown depth-first from {0, 1}: each Boolean closed subset popped off a
+    stack is extended by one element at a time, the extensions that close
+    to Boolean sets are pushed, and the subsets admitting none are reported.
+    On an orthoalgebra an element is tried only when it is `_compatible`
+    with each atom of the subset; the members of a Boolean extension all
+    are, so none is lost.  On any other table a subset passing `_boolean`
+    need not pass that test, so every element is tried.
     """
     start = _closure(table, ())
     if start is None or _boolean(table, start) is None:
         return []
+    everything = (1 << len(table.elements)) - 1
+    pruned = _is_orthoalgebra(table)
+    compatible = {}
     seen = set()
     maximal = set()
     stack = [start]
@@ -441,10 +473,15 @@ def blocks(table):
         if current in seen:
             continue
         seen.add(current)
+        mask = sum(1 << i for i in current)
+        candidates = everything & ~mask
+        if pruned:
+            for p in _minimal(table, mask):
+                if p not in compatible:
+                    compatible[p] = _compatible(table, p)
+                candidates &= compatible[p]
         extensions = []
-        for x in range(len(table.elements)):
-            if x in current:
-                continue
+        for x in bits(candidates):
             grown = _closure(table, current | {x})
             if grown is not None and _boolean(table, grown) is not None:
                 extensions.append(grown)
@@ -556,7 +593,7 @@ def _perspective_classes(insides):
     Each entry of insides lists one test's events by bitmask, so reversing
     it pairs each event h with t - h.  The events t - h over the tests t
     holding h share the local complement h, so each is united with the first
-    one seen.  Returns find, which maps an event to the root of its class.
+    one seen.  Returns a dict mapping each event to the root of its class.
     """
     parent = {}
 
@@ -571,7 +608,8 @@ def _perspective_classes(insides):
         for h, rest in zip(inside, reversed(inside)):
             # one root under the other; a no-op when they are one class
             parent[find(rest)] = find(first.setdefault(h, rest))
-    return find
+    # every event of a test is some t - h, so parent holds them all
+    return {x: find(x) for x in list(parent)}
 
 
 def subset_unions(sets):
@@ -700,12 +738,12 @@ def from_greechie(diagram):
     event.  The sum glues within each block.
     """
     insides = [subsets(blk) for blk in diagram.blocks]
-    find = _perspective_classes(insides)
-    zero, one = find(frozenset()), find(insides[0][-1])
+    class_of = _perspective_classes(insides)
+    zero, one = class_of[frozenset()], class_of[insides[0][-1]]
     if zero == one:
         raise PastingError("pasting identifies 0 with 1")
     comp = {
-        find(h): find(rest)
+        class_of[h]: class_of[rest]
         for inside in insides
         for h, rest in zip(inside, reversed(inside))
     }
@@ -715,9 +753,8 @@ def from_greechie(diagram):
     # events ascend by size and atom names, so each class meets its
     # representative, the smallest event, first; a single atom names it
     rep = {}
-    events = {e for inside in insides for e in inside}
-    for e in sorted(events, key=lambda e: (len(e), cell_key(e))):
-        rep.setdefault(find(e), e)
+    for e in sorted(class_of, key=lambda e: (len(e), cell_key(e))):
+        rep.setdefault(class_of[e], e)
     labels = {zero: "0", one: "1"}
     for root, e in rep.items():
         if len(e) == 1:
@@ -725,7 +762,9 @@ def from_greechie(diagram):
     # classes are met in (block, subset size, atom order); of two
     # complementary unnamed classes the first met gets the plain label
     for root in dict.fromkeys(
-        find(inside[m]) for inside in insides for m in _combination_order(len(inside))
+        class_of[inside[m]]
+        for inside in insides
+        for m in _combination_order(len(inside))
     ):
         if root not in labels:
             comp_label = labels.get(comp[root])
@@ -743,7 +782,7 @@ def from_greechie(diagram):
         key=lambda root: (root == one, len(rep[root]), labels[root]),
     )
     oplus, clash = block_sums(
-        [[labels[find(e)] for e in inside] for inside in insides]
+        [[labels[class_of[e]] for e in inside] for inside in insides]
     )
     if clash is not None:
         _, a, b = clash

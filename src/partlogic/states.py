@@ -12,10 +12,9 @@ from fractions import Fraction
 from .cover import _exact_covers, _matrix
 from .errors import StructureError
 from .oa import (
-    QUASI_AXIOMS,
     _bounds,
     _decompositions,
-    _violations,
+    _is_orthoalgebra,
     bits,
     format_label,
     minimal_nonzero,
@@ -177,8 +176,8 @@ def _sum_tests(table):
 
 def _state_rows(table):
     """The two-valued states' 0/1 bytes over the elements, in value-vector order."""
-    oa = not _violations(table, QUASI_AXIOMS + ("oavii",))
-    width, rows, values = (_atom_tests if oa else _sum_tests)(table)
+    build = _atom_tests if _is_orthoalgebra(table) else _sum_tests
+    width, rows, values = build(table)
     w = len(rows)
     m = _matrix(_exact_covers(width, rows), w)
     count = len(m) // w

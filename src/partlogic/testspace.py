@@ -224,13 +224,13 @@ def pi_logic(ts):
         raise AlgebraicityError(
             "test space is not algebraic", witness=check.witness
         )
-    find = _perspective_classes(ts._insides)
+    class_of = _perspective_classes(ts._insides)
     # events ascend by event_key, so each class meets its smallest first
     # and the representatives ascend too
     rep = {}
     for e in ts.events():
-        rep.setdefault(find(e), e)
-    pieces = [[rep[find(e)] for e in inside] for inside in ts._insides]
+        rep.setdefault(class_of[e], e)
+    pieces = [[rep[class_of[e]] for e in inside] for inside in ts._insides]
     oplus, clash = block_sums(pieces)
     if clash is not None:
         _, a, b = clash

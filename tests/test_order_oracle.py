@@ -3,7 +3,9 @@
 `order_oracle` holds verbatim copies of the old label-based order code.  On
 seeded random tables, a third of them missing one `a + 0` entry, on random
 Greechie pastings, partition logics and atlases, and on the corpus, every
-order query must give the same value, witness and exception.
+order query must give the same value, witness and exception.  The blocks
+search, which prunes by compatibility on orthoalgebras only, is compared on
+larger loops and Fano-plane pastings too.
 """
 
 import random
@@ -18,9 +20,11 @@ from test_pasting_oracle import (
     random_labelled_atlas,
     random_partition_logic,
 )
+from test_oa import named_loop
 from test_random_agreement import random_table
 
 SEED = 20261020
+FANO_LINES = ((1, 2, 4), (2, 3, 5), (3, 4, 6), (4, 5, 7), (5, 6, 1), (6, 7, 2), (7, 1, 3))
 
 
 def outcome(f, *args):
@@ -115,3 +119,26 @@ def test_kernel_matches_label_scans():
     assert any(
         old.order_transitivity_counterexample(old.LabelTable(t)) for t in tables
     )
+
+
+def fano_plus(j, rng):
+    """The Fano plane's lines plus j four-atom blocks, block t at point t + 1.
+
+    The 7 + 3j atoms take their names in a seeded random order.
+    """
+    names = ["p%02d" % i for i in range(7 + 3 * j)]
+    rng.shuffle(names)
+    blocks = [[names[p - 1] for p in line] for line in FANO_LINES]
+    blocks += [[names[t]] + names[7 + 3 * t : 10 + 3 * t] for t in range(j)]
+    return P.from_greechie(P.GreechieDiagram(names, blocks))
+
+
+def test_blocks_match_label_search_on_loops_and_fano_pastings():
+    rng = random.Random(SEED + 2)
+    tables = [
+        named_loop(k, order) for k in range(2, 13) for order in ("grouped", "shuffled")
+    ]
+    tables += [fano_plus(j, rng) for j in range(5) for _ in range(2)]
+    for t in tables:
+        assert P.verify_oa(t).passed
+        assert P.blocks(t) == old.blocks(old.LabelTable(t))
