@@ -2,7 +2,10 @@
 
 parse(kind, text) builds a structure; serialize(structure) emits the
 canonical form (atoms, cells, and partitions sorted).  Parsing preserves
-the given cell order, which matters for automaton output indices.
+the given cell order, which matters for automaton output indices.  A
+machine text that the writer wrote is read by its values, and taken only
+if the writer writes the machine back byte for byte; every other text goes
+through the one line reader, `_read`.
 """
 
 import re
@@ -214,63 +217,48 @@ _PARSERS = {
     "pts": _parse_pts,
 }
 
-_MACHINE = re.compile(r"\s*states:")
+_HEAD = re.compile(r"states: (.*)\ninputs: (.*)\noutputs: (.*)\n")
+_LAMBDA = re.compile(r"lambda: \S+ (\S+ )?-> ")
+_VALUE = re.compile(r" -> (.*)\n")
 
 
-def _read_machine(text, kind=None):
-    """Read a machine text in one pass straight into its step table.
+def _written_machine(text, kind=None):
+    """The machine whose writer's text is exactly `text`, else None.
 
-    Takes the text only when every nonblank line is whole: the states,
-    inputs and outputs lines first, in that order, each of distinct names
-    free of '#' and '->'; then delta and lambda lines of exactly their
-    words, naming declared states, inputs and outputs, each entry once and
-    none missing.  The kind, unless given, is that of the first lambda line.
-    Returns None for any other text; the general path then builds the same
-    machine, or raises the message for the line at fault.
+    Reads the header names, each list free of '#' and '->' and the states
+    and inputs distinct; then every row's value, in the writer's order:
+    the delta rows state by state, then the lambda rows.  The kind, unless
+    given, is that of the first lambda line.  The machine is taken only if
+    `_machine_text` writes it back byte for byte, so the general path, which
+    reads every other text, would build the same machine.
     """
-    if not _MACHINE.match(text):
+    head = _HEAD.match(text)
+    if head is None or "#" in head[0] or "->" in head[0]:
         return None
-    rows = filter(None, map(str.split, text.splitlines()))
-    names = []
-    for key in ("states:", "inputs:", "outputs:"):
-        words = next(rows, [None])
-        if words[0] != key or len(set(words)) != len(words):
+    states, inputs, outputs = (names.split() for names in head.groups())
+    if not states or len(set(states)) < len(states) or len(set(inputs)) < len(inputs):
+        return None
+    if kind is None:
+        line = _LAMBDA.match(text, text.find("\nlambda: ") + 1)
+        if line is None:
             return None
-        if any("#" in w or "->" in w for w in words):
-            return None
-        names.append(words[1:])
-    states, inputs, outputs = names
-    state, column, output = ({x: i for i, x in enumerate(xs)} for xs in names)
-    n = len(states)
-    succ = [[None] * n for _ in inputs]
-    moore = {"moore": True, "mealy": False}.get(kind)
-    out = None
+        kind = "mealy" if line[1] else "moore"
+    moore = kind == "moore"
+    n, m = len(states), len(inputs)
+    values = _VALUE.findall(text, head.end())
+    if len(values) != n * m + (n if moore else n * m):
+        return None
+    state, output = ({x: i for i, x in enumerate(xs)} for xs in (states, outputs))
     try:
-        for words in rows:
-            if words[0] == "delta:" and len(words) == 5 and words[3] == "->":
-                row, i, value = succ[column[words[2]]], state[words[1]], state[words[4]]
-            elif words[0] != "lambda:":
-                return None
-            else:
-                if moore is None:
-                    moore = len(words) == 4
-                if out is None:
-                    out = [None] * n if moore else [[None] * n for _ in inputs]
-                if moore and len(words) == 4 and words[2] == "->":
-                    row, i, value = out, state[words[1]], output[words[3]]
-                elif not moore and len(words) == 5 and words[3] == "->":
-                    row, i, value = out[column[words[2]]], state[words[1]], output[words[4]]
-                else:
-                    return None
-            if row[i] is not None:
-                return None
-            row[i] = value
+        steps = list(map(state.__getitem__, values[: n * m]))
+        outs = list(map(output.__getitem__, values[n * m :]))
     except KeyError:
         return None
-    if out is None or any(None in row for row in succ + ([out] if moore else out)):
-        return None
+    succ = [steps[j::m] for j in range(m)]
+    out = outs if moore else [outs[j::m] for j in range(m)]
     cls = MooreAutomaton if moore else MealyAutomaton
-    return cls._from_table(states, inputs, outputs, succ, out)
+    machine = cls._from_table(states, inputs, outputs, succ, out)
+    return machine if _machine_text(machine) == text else None
 
 
 def parse(kind, text):
@@ -278,7 +266,7 @@ def parse(kind, text):
     if kind not in _PARSERS:
         raise ParseError("unknown kind %r" % kind)
     if kind in ("mealy", "moore"):
-        machine = _read_machine(text, kind)
+        machine = _written_machine(text, kind)
         if machine is not None:
             return machine
     return _PARSERS[kind](_lines(text))
@@ -286,7 +274,7 @@ def parse(kind, text):
 
 def parse_any(text):
     """Detect the kind from the text, then parse; returns (kind, structure)."""
-    machine = _read_machine(text)
+    machine = _written_machine(text)
     if machine is not None:
         return machine.kind, machine
     lines = _lines(text)
@@ -315,33 +303,44 @@ def _family_text(head, points, row, families):
 def _machine_text(machine):
     """The header lines, then one delta and one lambda line per entry.
 
-    Lines are joined from shared pieces (a head per state, " a -> " per
-    input a, each target with its newline), not built one string each, so
-    writing a machine needs little more memory than its text.
+    Rows are joined from shared pieces (a head per state, " a -> " per
+    input a, each target with its newline), three references a row.  Long
+    rows, as in realization machines, are joined once.  Where rows are
+    short, their references would outweigh the text, so the rows held are
+    added to the text once their states pass an eighth of those written and
+    their pieces a few thousand: CPython grows a string held by one local
+    name in place, so the writer needs little more memory than its text,
+    and where it copies instead, the copies sum to a few times the text.
     """
     states, inputs, outputs = machine.states, machine.inputs, machine.outputs
-    pieces = [
-        "states: " + " ".join(states),
-        "\ninputs: " + " ".join(inputs),
-        "\noutputs: " + " ".join(outputs),
-        "\n",
-    ]
     arrows = [" %s -> " % a for a in inputs]
-    to_state = [q + "\n" for q in states]
-    to_output = [o + "\n" for o in outputs]
-    for i, q in enumerate(states):
-        head = "delta: " + q
-        for arrow, row in zip(arrows, machine.succ):
-            pieces += (head, arrow, to_state[row[i]])
+    sections = [("delta: ", states, machine.succ, arrows)]
     if machine.kind == "moore":
-        for q, o in zip(states, machine.out):
-            pieces += ("lambda: ", q, " -> ", to_output[o])
+        sections.append(("lambda: ", outputs, [machine.out], [" -> "]))
     else:
-        for i, q in enumerate(states):
-            head = "lambda: " + q
-            for arrow, row in zip(arrows, machine.out):
-                pieces += (head, arrow, to_output[row[i]])
-    return "".join(pieces)
+        sections.append(("lambda: ", outputs, machine.out, arrows))
+    # rows are short when a delta row's state and arrow, a lower bound on its
+    # length, average under 96 bytes: three references weigh a quarter of that
+    short = 96 * len(states) * len(inputs) > (
+        len(inputs) * sum(map(len, states)) + len(states) * sum(map(len, arrows))
+    )
+    text = ""
+    pieces = ["states: %s\ninputs: %s\noutputs: %s\n" % tuple(map(" ".join, (states, inputs, outputs)))]
+    held = written = 0
+    for key, names, table, arrows in sections:
+        ends = [x + "\n" for x in names]
+        line = [None] * (3 * len(arrows))
+        line[1::3] = arrows
+        for q, targets in zip(states, zip(*table)):
+            line[0::3] = [key + q] * len(arrows)
+            line[2::3] = map(ends.__getitem__, targets)
+            pieces += line
+            held += 1
+            if short and 8 * held > written and len(pieces) > 4096:
+                text += "".join(pieces)
+                pieces, held, written = [], 0, written + held
+    text += "".join(pieces)
+    return text
 
 
 def serialize(structure):

@@ -453,41 +453,45 @@ def blocks(table):
 
     Grown depth-first from {0, 1}: each Boolean closed subset popped off a
     stack is extended by one element at a time, the extensions that close
-    to Boolean sets are pushed, and the subsets admitting none are reported.
+    to Boolean sets not met before are pushed, and the subsets admitting
+    none are reported.
     On an orthoalgebra an element is tried only when it is `_compatible`
     with each atom of the subset; the members of a Boolean extension all
     are, so none is lost.  On any other table a subset passing `_boolean`
     need not pass that test, so every element is tried.
     """
     start = _closure(table, ())
-    if start is None or _boolean(table, start) is None:
+    found = None if start is None else _boolean(table, start)
+    if found is None:
         return []
     everything = (1 << len(table.elements)) - 1
     pruned = _is_orthoalgebra(table)
     compatible = {}
-    seen = set()
+    # a set is pushed once, with its mask and atoms; one met again is Boolean
+    seen = {start}
     maximal = set()
-    stack = [start]
+    stack = [(start, sum(1 << i for i in start), found[0])]
     while stack:
-        current = stack.pop()
-        if current in seen:
-            continue
-        seen.add(current)
-        mask = sum(1 << i for i in current)
+        current, mask, atoms = stack.pop()
         candidates = everything & ~mask
         if pruned:
-            for p in _minimal(table, mask):
+            for p in atoms:
                 if p not in compatible:
                     compatible[p] = _compatible(table, p)
                 candidates &= compatible[p]
-        extensions = []
+        extended = False
         for x in bits(candidates):
             grown = _closure(table, current | {x})
-            if grown is not None and _boolean(table, grown) is not None:
-                extensions.append(grown)
-        if extensions:
-            stack.extend(extensions)
-        else:
+            if grown is None:
+                continue
+            if grown not in seen:
+                found = _boolean(table, grown)
+                if found is None:
+                    continue
+                seen.add(grown)
+                stack.append((grown, sum(1 << i for i in grown), found[0]))
+            extended = True
+        if not extended:
             maximal.add(current)
     # a set reported maximal on one path may still sit inside another block
     maximal = [

@@ -3,11 +3,12 @@
 Point sets are made once and shared: `oa_to_partition_logic` makes one
 support per element, from the columns sliced once off the states' joined
 0/1 rows; `PartitionLogic` checks each distinct partition once;
-`pasting_to_oa` keeps one object per distinct cell union.
+`pasting_to_oa` pastes on int masks over the ground ranked by `str` and
+builds one point set per distinct cell union.
 """
 
 from collections import defaultdict
-from itertools import compress
+from itertools import compress, filterfalse
 
 from .errors import PrimenessError, StructureError
 from .oa import (
@@ -15,7 +16,6 @@ from .oa import (
     block_sums,
     cell_key,
     format_label,
-    subset_unions,
 )
 from .states import TwoValuedState, _primeness
 
@@ -112,18 +112,43 @@ def pasting_to_oa(pl):
     and b are disjoint cell-unions of one common partition, with value the
     plain union.
     """
-    # one object per distinct cell union, so that the sum table's keys and
-    # values are the elements themselves and every lookup meets by identity
-    union_of = {}
-    pieces = [
-        list(map(union_of.setdefault, unions, unions))
-        for unions in map(subset_unions, pl.partitions)
-    ]
-    elements = sorted(union_of, key=lambda s: (len(s), cell_key(s)))
+    # a point set is an int mask over the ground ranked by str: point p gets
+    # bit n - 1 - rank(p), so (size, cell_key) is (popcount, -mask) when the
+    # str labels are distinct; unions are ORs, and each distinct one gets a
+    # number, in the order met, and a label: its one cell, or a frozenset
+    # made once
+    ranked = sorted(pl.ground, key=str)
+    n = len(ranked)
+    bit = dict(zip(ranked, [1 << i for i in range(n - 1, -1, -1)]))
+    full = (1 << n) - 1
+    mask_of, number, labels, pieces = {}, {}, [], []
+    for part in pl.partitions:
+        # the largest cell is the rest of the ground, found without its points
+        big = max(part, key=len)
+        masks = [
+            0 if c is big else mask_of.get(c) or mask_of.setdefault(c, sum(map(bit.__getitem__, c)))
+            for c in part
+        ]
+        masks[part.index(big)] = full ^ sum(masks)
+        unions = [0]
+        for m in masks:
+            unions += [u | m for u in unions]
+        for u in filterfalse(number.__contains__, unions):
+            number[u] = len(labels)
+            cells = [c for c, m in zip(part, masks) if u & m]
+            labels.append(cells[0] if len(cells) == 1 else frozenset().union(*cells))
+        pieces.append(list(map(number.__getitem__, unions)))
+    if len(set(map(str, ranked))) == n:
+        order = map(number.__getitem__, sorted(sorted(number, reverse=True), key=int.bit_count))
+    else:
+        # colliding labels: the stable sort on the point sets, in the order met
+        order = sorted(range(len(labels)), key=lambda i: (len(labels[i]), cell_key(labels[i])))
+    # glued on the numbers, so a clash check compares two ints
     oplus, _ = block_sums(pieces)
-    return FiniteQuasiOrthoalgebra(
-        elements, union_of[frozenset()], union_of[frozenset(pl.ground)], oplus
-    )
+    get = labels.__getitem__
+    left, right = zip(*oplus)
+    table = dict(zip(zip(map(get, left), map(get, right)), map(get, oplus.values())))
+    return FiniteQuasiOrthoalgebra(list(map(get, order)), labels[0], labels[number[full]], table)
 
 
 def oa_to_partition_logic(table):

@@ -1,5 +1,6 @@
 """Text format parsing, canonical serialization, and the corpus registry."""
 
+import random
 import tracemalloc
 
 import pytest
@@ -110,6 +111,32 @@ def test_machine_text_takes_little_more_memory_than_itself():
     finally:
         tracemalloc.stop()
     assert len(text) >= 1_000_000
+    assert peak < 1.5 * len(text)
+    assert P.serialize(P.parse("mealy", text)) == text
+
+
+def test_machine_text_of_short_names_takes_little_more_memory_than_itself():
+    # about 23 bytes a line: a list of three references per line would
+    # outweigh the text
+    rng = random.Random(7)
+    states = ["q%d" % i for i in range(2000)]
+    inputs = ["a%d" % i for i in range(10)]
+    outputs = ["y%d" % i for i in range(3)]
+    keys = [(q, a) for q in states for a in inputs]
+    machine = P.MealyAutomaton(
+        states,
+        inputs,
+        outputs,
+        {key: rng.choice(states) for key in keys},
+        {key: rng.choice(outputs) for key in keys},
+    )
+    tracemalloc.start()
+    try:
+        text = P.serialize(machine)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert text.count("\n") == 3 + 2 * len(keys)
     assert peak < 1.5 * len(text)
     assert P.serialize(P.parse("mealy", text)) == text
 

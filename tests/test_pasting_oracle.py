@@ -4,7 +4,11 @@
 `pasting_to_oa`, `BooleanChart.from_cells`, `atlas_to_quasi_oa` and
 `pi_logic`.  On seeded random diagrams, partition logics, atlases and test
 spaces the new code must build the same elements, 0, 1 and sum table, or
-raise the same exception type with the same message.
+raise the same exception type with the same message.  Pastings of Greechie
+diagrams and partition logics must also list the table's entries in the
+same order; partition logics range over grounds of up to 70 points, ints
+among them, and where two points print alike, the element order is checked
+against the order in which the cell unions are first met.
 """
 
 import itertools
@@ -14,22 +18,26 @@ from collections import Counter
 import pasting_oracle as old
 from atlas_oracle import labels_by_mask
 import partlogic as P
+from partlogic.oa import cell_key, subset_unions
 
 SEED = 20261018
 
 
-def outcome(build, arg):
+def outcome(build, arg, ordered=False):
     try:
         t = build(arg)
     except P.LogicError as exc:
         return type(exc), str(exc), getattr(exc, "witness", None)
-    return t.elements, t.zero, t.one, t.table
+    return t.elements, t.zero, t.one, list(t.table.items()) if ordered else t.table
 
 
-def agree(name, arg):
-    """Compare the old and new builder on one input; returns the outcome."""
-    want = outcome(getattr(old, name), arg)
-    got = outcome(getattr(P, name), arg)
+def agree(name, arg, ordered=False):
+    """Compare the old and new builder on one input; returns the outcome.
+
+    When `ordered`, the sum tables must also list their entries in one order.
+    """
+    want = outcome(getattr(old, name), arg, ordered)
+    got = outcome(getattr(P, name), arg, ordered)
     assert got == want, (name, arg)
     return want
 
@@ -74,19 +82,45 @@ def random_diagrams(seed, want):
     return out
 
 
-def random_partition_logic(rng):
-    ground = ["p%d" % i for i in range(rng.randint(1, 6))]
+def random_partition_logic(rng, ground=None):
+    """One to four partitions of p0..p5 or of the given ground.
+
+    A given ground is cut into at most five cells per partition, so that a
+    wide ground keeps its 3^k sums few.
+    """
+    wide = ground is not None
+    if not wide:
+        ground = ["p%d" % i for i in range(rng.randint(1, 6))]
     partitions = []
     for _ in range(rng.randint(1, 4)):
         points = ground[:]
         rng.shuffle(points)
         cells = []
         while points:
-            k = rng.randint(1, len(points))
+            k = len(points) if wide and len(cells) == 4 else rng.randint(1, len(points))
             cells.append(points[:k])
             points = points[k:]
         partitions.append(cells)
     return P.PartitionLogic(ground, partitions)
+
+
+def random_ground(rng):
+    """1 to 70 points: names, ints, both, or ints next to names spelling some.
+
+    Masks over up to 70 points span three 30-bit digits; ints rank by str,
+    so 10 comes before 9; and a point 3 next to a point '3' makes two point
+    sets with one sort key.
+    """
+    n = rng.randint(1, 70)
+    ints = rng.sample(range(3 * n), n)
+    shape = rng.randrange(4)
+    if shape == 0:
+        return ["p%d" % i for i in ints]
+    if shape == 1:
+        return ints
+    if shape == 2:
+        return [i if i % 2 else "p%d" % i for i in ints]
+    return ints + [str(i) for i in rng.sample(ints, rng.randint(1, min(3, n)))]
 
 
 def max_shared(diagram):
@@ -103,7 +137,7 @@ def test_from_greechie_matches_old_builder():
     texts = Counter()
     multi_shared_ok = 0
     for d in diagrams:
-        res = agree("from_greechie", d)
+        res = agree("from_greechie", d, ordered=True)
         ok = isinstance(res[0], tuple)
         texts["ok" if ok else res[1]] += 1
         multi_shared_ok += ok and max_shared(d) >= 2
@@ -117,15 +151,35 @@ def test_from_greechie_matches_old_builder():
     assert multi_shared_ok >= 50
 
 
+def _by_key(elements):
+    """The elements grouped by their sort key, in order; ties as one set."""
+    key = lambda s: (len(s), cell_key(s))
+    return [(k, set(g)) for k, g in itertools.groupby(elements, key)]
+
+
 def test_pasting_to_oa_matches_old_builder():
     rng = random.Random(SEED + 1)
     logics = [random_partition_logic(rng) for _ in range(800)]
+    logics += [random_partition_logic(rng, random_ground(rng)) for _ in range(800)]
     logics += [e.payload for e in P.corpus() if e.kind == "partition_logic"]
     logics += [
         P.urn_to_partition_logic(e.payload) for e in P.corpus() if e.kind == "urn"
     ]
+    collided = 0
     for pl in logics:
-        assert isinstance(agree("pasting_to_oa", pl)[0], tuple)
+        if len(set(map(str, pl.ground))) == len(pl.ground):
+            assert isinstance(agree("pasting_to_oa", pl, ordered=True)[0], tuple)
+            continue
+        # two point sets with one sort key: the old builder orders them as
+        # its set of elements iterates, the new one as it first meets them
+        collided += 1
+        got, want = P.pasting_to_oa(pl), old.pasting_to_oa(pl)
+        assert (got.zero, got.one, list(got.table.items())) == (want.zero, want.one, list(want.table.items()))
+        assert _by_key(got.elements) == _by_key(want.elements)
+        met = dict.fromkeys(u for part in pl.partitions for u in subset_unions(part))
+        assert list(got.elements) == sorted(met, key=lambda s: (len(s), cell_key(s)))
+    assert collided > 100
+    assert max(len(pl.ground) for pl in logics) > 60
 
 
 def random_labelled_charts(rng):
