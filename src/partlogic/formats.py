@@ -305,12 +305,12 @@ def _machine_text(machine):
 
     Rows are joined from shared pieces (a head per state, " a -> " per
     input a, each target with its newline), three references a row.  Long
-    rows, as in realization machines, are joined once.  Where rows are
-    short, their references would outweigh the text, so the rows held are
-    added to the text once their states pass an eighth of those written and
-    their pieces a few thousand: CPython grows a string held by one local
-    name in place, so the writer needs little more memory than its text,
-    and where it copies instead, the copies sum to a few times the text.
+    rows, as in realization machines, are joined once: batches would copy
+    the growing text many times over.  Short rows' references would outweigh
+    the text, so the rows held are added to it once their states pass an
+    eighth of those written: CPython grows a string held by one local name
+    in place, so the writer needs little more memory than its text, and
+    where it copies instead, the copies sum to a few times the text.
     """
     states, inputs, outputs = machine.states, machine.inputs, machine.outputs
     arrows = [" %s -> " % a for a in inputs]
@@ -336,7 +336,7 @@ def _machine_text(machine):
             line[2::3] = map(ends.__getitem__, targets)
             pieces += line
             held += 1
-            if short and 8 * held > written and len(pieces) > 4096:
+            if short and 8 * held > written:
                 text += "".join(pieces)
                 pieces, held, written = [], 0, written + held
     text += "".join(pieces)
