@@ -42,23 +42,6 @@ from .testspace import (
     verify_test_space,
 )
 
-COMMANDS = (
-    "verify",
-    "states",
-    "prime",
-    "blocks",
-    "iso",
-    "to-pl",
-    "to-automaton",
-    "from-automaton",
-    "atlas",
-    "testspace",
-    "complete",
-    "dot",
-    "corpus",
-)
-
-
 @dataclass
 class Report:
     """One command's outcome; stdout is `text` followed by `end`."""
@@ -354,23 +337,6 @@ def _cmd_corpus(args):
     return 0, {"entries": rows}, text
 
 
-_HANDLERS = {
-    "verify": _cmd_verify,
-    "states": _cmd_states,
-    "prime": _cmd_prime,
-    "blocks": _cmd_blocks,
-    "iso": _cmd_iso,
-    "to-pl": _cmd_to_pl,
-    "to-automaton": _cmd_to_automaton,
-    "from-automaton": _cmd_from_automaton,
-    "atlas": _cmd_atlas,
-    "testspace": _cmd_testspace,
-    "complete": _cmd_complete,
-    "dot": _cmd_dot,
-    "corpus": _cmd_corpus,
-}
-
-
 def _word_length(token):
     """An int word length bound, or None for 'all'."""
     if token == "all":
@@ -390,34 +356,35 @@ def _parser():
     p.add_argument("--json", action="store_true", help="emit a JSON report")
     sub = p.add_subparsers(dest="cmd", required=True)
 
-    def source_cmd(name, help_text):
+    def source_cmd(name, help_text, run):
         sp = sub.add_parser(name, help=help_text)
         sp.add_argument("source", help="corpus:<id> or a file path")
+        sp.set_defaults(run=run)
         return sp
 
-    source_cmd("verify", "run the structure's verifier")
-    source_cmd("states", "enumerate two-valued states")
-    source_cmd("prime", "check for a separating set of two-valued states")
-    source_cmd("blocks", "list maximal Boolean sub-structures")
-    sp = source_cmd("iso", "search for an isomorphism between two logics")
+    source_cmd("verify", "run the structure's verifier", _cmd_verify)
+    source_cmd("states", "enumerate two-valued states", _cmd_states)
+    source_cmd("prime", "check for a separating set of two-valued states", _cmd_prime)
+    source_cmd("blocks", "list maximal Boolean sub-structures", _cmd_blocks)
+    sp = source_cmd("iso", "search for an isomorphism between two logics", _cmd_iso)
     sp.add_argument("other", help="corpus:<id> or a file path")
-    source_cmd("to-pl", "represent a prime logic as a partition logic")
-    source_cmd("to-automaton", "realize a partition logic as a Mealy machine")
-    sp = source_cmd("from-automaton", "partition logic of a machine's experiments")
+    source_cmd("to-pl", "represent a prime logic as a partition logic", _cmd_to_pl)
+    source_cmd("to-automaton", "realize a partition logic as a Mealy machine", _cmd_to_automaton)
+    sp = source_cmd("from-automaton", "partition logic of a machine's experiments", _cmd_from_automaton)
     sp.add_argument(
         "--max-word-length",
         type=_word_length,
         default=2,
         help="experiment word length bound, or 'all' for every word (default 2)",
     )
-    source_cmd("atlas", "verify an atlas, or chart a table by its blocks")
-    source_cmd("testspace", "inspect a test space (validity, algebraicity, weights)")
-    source_cmd("complete", "complete a partition test space")
-    sp = source_cmd("dot", "render DOT output")
-    sp.add_argument(
-        "--style", choices=("greechie", "hasse"), default="greechie"
+    source_cmd("atlas", "verify an atlas, or chart a table by its blocks", _cmd_atlas)
+    source_cmd(
+        "testspace", "inspect a test space (validity, algebraicity, weights)", _cmd_testspace
     )
-    sub.add_parser("corpus", help="list bundled corpus entries")
+    source_cmd("complete", "complete a partition test space", _cmd_complete)
+    sp = source_cmd("dot", "render DOT output", _cmd_dot)
+    sp.add_argument("--style", choices=("greechie", "hasse"), default="greechie")
+    sub.add_parser("corpus", help="list bundled corpus entries").set_defaults(run=_cmd_corpus)
     return p
 
 
@@ -430,7 +397,7 @@ def cli(argv):
         status = 0 if exc.code == 0 else 2
         return Report(list(argv), status, {"error": "usage"}, "")
     try:
-        status, result, text, *end = _HANDLERS[args.cmd](args)
+        status, result, text, *end = args.run(args)
     except (ParseError, StructureError) as exc:
         return Report(list(argv), 2, {"error": str(exc)}, "error: %s" % exc)
     except LogicError as exc:

@@ -18,16 +18,6 @@ from .oa import GreechieDiagram
 from .partition import PartitionLogic, UrnModel
 from .testspace import PartitionTestSpace
 
-KINDS = (
-    "greechie",
-    "partition_logic",
-    "atlas",
-    "urn",
-    "mealy",
-    "moore",
-    "pts",
-)
-
 _LEAD = {
     "atoms": "greechie",
     "points": "partition_logic",

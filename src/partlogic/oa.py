@@ -616,9 +616,9 @@ def _perspective_classes(insides):
     return {x: find(x) for x in list(parent)}
 
 
-def subset_unions(sets):
-    """The unions of all subsets of `sets`, listed by bitmask (bit i: sets[i])."""
-    unions = [frozenset()]
+def subset_unions(sets, empty=frozenset()):
+    """The unions of all subsets of `sets`, each from `empty`, by bitmask (bit i: sets[i])."""
+    unions = [empty]
     for s in sets:
         unions += [u | s for u in unions]
     return unions
@@ -739,7 +739,8 @@ def from_greechie(diagram):
     identified up to perspectivity (t - h ~ t' - h when blocks t and t' both
     hold h), the classes of `_perspective_classes`.  A class is named by its
     atom when it holds one, else through its complement or by its smallest
-    event.  The sum glues within each block.
+    event; a name that an earlier class took gets "~" appended until it is
+    free.  The sum glues within each block.
     """
     insides = [subsets(blk) for blk in diagram.blocks]
     class_of = _perspective_classes(insides)
@@ -759,10 +760,20 @@ def from_greechie(diagram):
     rep = {}
     for e in sorted(class_of, key=lambda e: (len(e), cell_key(e))):
         rep.setdefault(class_of[e], e)
-    labels = {zero: "0", one: "1"}
-    for root, e in rep.items():
-        if len(e) == 1:
-            labels.setdefault(root, str(*e))
+    # an atom is never renamed; a derived label already taken gets "~"s
+    labels = {root: str(*e) for root, e in rep.items() if len(e) == 1}
+    taken = set(labels.values())
+    if len(taken) != len(labels):
+        raise PastingError("pasting produced colliding element labels")
+
+    def name(root, label):
+        while label in taken:
+            label += "~"
+        taken.add(label)
+        labels[root] = label
+
+    name(zero, "0")
+    name(one, "1")
     # classes are met in (block, subset size, atom order); of two
     # complementary unnamed classes the first met gets the plain label
     for root in dict.fromkeys(
@@ -771,13 +782,11 @@ def from_greechie(diagram):
         for m in _combination_order(len(inside))
     ):
         if root not in labels:
-            comp_label = labels.get(comp[root])
-            if comp_label not in (None, "0", "1") and "'" not in comp_label:
-                labels[root] = comp_label + "'"
+            c = comp[root]
+            if c in labels and c not in (zero, one) and "'" not in labels[c]:
+                name(root, labels[c] + "'")
             else:
-                labels[root] = "+".join(cell_key(rep[root]))
-    if len(set(labels.values())) != len(labels):
-        raise PastingError("pasting produced colliding element labels")
+                name(root, "+".join(cell_key(rep[root])))
 
     # 0 is the only class of empty sets and 1 holds only full blocks, so
     # this sorts 0, the atoms, the larger classes, then 1
@@ -794,5 +803,5 @@ def from_greechie(diagram):
             "inconsistent sums %s + %s" % (format_label(a), format_label(b))
         )
     return FiniteQuasiOrthoalgebra(
-        [labels[root] for root in roots], "0", "1", oplus
+        [labels[root] for root in roots], labels[zero], labels[one], oplus
     )

@@ -16,6 +16,7 @@ from .oa import (
     block_sums,
     cell_key,
     format_label,
+    subset_unions,
 )
 from .states import TwoValuedState, _primeness
 
@@ -130,9 +131,7 @@ def pasting_to_oa(pl):
             for c in part
         ]
         masks[part.index(big)] = full ^ sum(masks)
-        unions = [0]
-        for m in masks:
-            unions += [u | m for u in unions]
+        unions = subset_unions(masks, 0)
         for u in filterfalse(number.__contains__, unions):
             number[u] = len(labels)
             cells = [c for c, m in zip(part, masks) if u & m]

@@ -14,8 +14,8 @@ keeps its row of `cover._matrix` and builds its values on first use.
 `ts_to_partition_test_space` reads its columns as point sets and checks
 each test on its outcomes' columns (sums and counts), not the constructor.
 
-`omp_conditions` works on one orthogonality bitmask over event indices per
-event.
+`omp_conditions` reads each test's disjoint event pairs off `_insides` by
+`oa._splits`, into one orthogonality bitmask over event indices per event.
 """
 
 import functools
@@ -32,6 +32,7 @@ from .oa import (
     FiniteQuasiOrthoalgebra,
     Violation,
     _perspective_classes,
+    _splits,
     bits,
     block_sums,
     cell_key,
@@ -426,31 +427,23 @@ def omp_conditions(pts):
     """
     ts = pts.as_test_space()
     events = ts.events()
-    bit = {x: 1 << i for i, x in enumerate(ts.outcomes)}
-    masks = [sum(bit[x] for x in e) for e in events]
-    index = {m: i for i, m in enumerate(masks)}
+    index = {e: i for i, e in enumerate(events)}
 
-    # orth[i]: the events disjoint from event i and inside a common test;
-    # the events inside a test t are exactly the submasks of t
+    # orth[i]: the events disjoint from event i and inside a common test,
+    # read off each test's (left, right, union) triples; joined[i, j]: i u j
     orth = [0] * len(events)
-    for t in set(sum(bit[x] for x in t) for t in ts.tests):
-        e = t
-        while True:
-            rest = t & ~e
-            f = rest
-            while True:
-                orth[index[e]] |= 1 << index[f]
-                if not f:
-                    break
-                f = (f - 1) & rest
-            if not e:
-                break
-            e = (e - 1) & t
+    joined = {}
+    for inside in ts._insides:
+        ids = [index[e] for e in inside]
+        for left, right, both in _splits(len(ids).bit_length() - 1):
+            i, j = ids[left], ids[right]
+            orth[i] |= 1 << j
+            joined[i, j] = ids[both]
 
     triple_witness = None
     for i, oi in enumerate(orth):
         for j in bits(oi):
-            bad = oi & orth[j] & ~orth[index[masks[i] | masks[j]]]
+            bad = oi & orth[j] & ~orth[joined[i, j]]
             if bad:
                 g = (bad & -bad).bit_length() - 1
                 triple_witness = (events[i], events[j], events[g])

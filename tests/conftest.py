@@ -72,6 +72,16 @@ def exhaustive_states(table):
     return out
 
 
+def sums_preserved(t1, t2, mapping):
+    """The map is a bijection onto t2's elements carrying t1's sums to t2's."""
+    # sets, not sorted lists: `<` on point-set labels is only a partial order
+    values = set(mapping.values())
+    if len(values) != len(mapping) or values != set(t2.elements):
+        return False
+    moved = {(mapping[a], mapping[b]): mapping[c] for (a, b), c in t1.table.items()}
+    return moved == t2.table
+
+
 TABLE_IDS = (
     "firefly",
     "wright",

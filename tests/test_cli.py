@@ -53,6 +53,63 @@ def test_unknown_flag_is_usage_error():
     assert cli(["states", "--frobnicate", "corpus:wright"]).status == 2
 
 
+USAGE = """\
+usage: partlogic [-h] [--json]
+                 {verify,states,prime,blocks,iso,to-pl,to-automaton,from-automaton,atlas,testspace,complete,dot,corpus}
+                 ...
+"""
+
+
+def test_help_and_usage_texts(monkeypatch, capsys):
+    # argparse wraps to the terminal width, which COLUMNS sets
+    monkeypatch.setenv("COLUMNS", "80")
+    assert main(["--help"]) == 0
+    assert capsys.readouterr() == (USAGE + """
+finite quantum-logic toolkit: tables, partitions, atlases, automata, test
+spaces
+
+positional arguments:
+  {verify,states,prime,blocks,iso,to-pl,to-automaton,from-automaton,atlas,testspace,complete,dot,corpus}
+    verify              run the structure's verifier
+    states              enumerate two-valued states
+    prime               check for a separating set of two-valued states
+    blocks              list maximal Boolean sub-structures
+    iso                 search for an isomorphism between two logics
+    to-pl               represent a prime logic as a partition logic
+    to-automaton        realize a partition logic as a Mealy machine
+    from-automaton      partition logic of a machine's experiments
+    atlas               verify an atlas, or chart a table by its blocks
+    testspace           inspect a test space (validity, algebraicity, weights)
+    complete            complete a partition test space
+    dot                 render DOT output
+    corpus              list bundled corpus entries
+
+options:
+  -h, --help            show this help message and exit
+  --json                emit a JSON report
+""", "")
+    assert main(["from-automaton", "--help"]) == 0
+    assert capsys.readouterr() == ("""\
+usage: partlogic from-automaton [-h] [--max-word-length MAX_WORD_LENGTH]
+                                source
+
+positional arguments:
+  source                corpus:<id> or a file path
+
+options:
+  -h, --help            show this help message and exit
+  --max-word-length MAX_WORD_LENGTH
+                        experiment word length bound, or 'all' for every word
+                        (default 2)
+""", "")
+    assert main(["bogus"]) == 2
+    assert capsys.readouterr() == ("", USAGE + (
+        "partlogic: error: argument cmd: invalid choice: 'bogus' (choose from 'verify',"
+        " 'states', 'prime', 'blocks', 'iso', 'to-pl', 'to-automaton', 'from-automaton',"
+        " 'atlas', 'testspace', 'complete', 'dot', 'corpus')\n"
+    ))
+
+
 def test_unknown_corpus_id_is_input_error():
     assert cli(["states", "corpus:nope"]).status == 2
 
@@ -218,6 +275,25 @@ def test_json_report_round_trips():
         assert again.status == report.status
         assert again.result == report.result
         assert json.loads(blob)["command"] == argv
+
+
+def test_fano_plane_on_digits(tmp_path):
+    """Atoms named 1..7 keep their names; the unit is 1~ and 1's complement 1'."""
+    src = tmp_path / "fano.txt"
+    src.write_text(
+        "atoms: 1 2 3 4 5 6 7\n"
+        + "".join("block: %s\n" % " ".join(b) for b in ("123", "145", "167", "246", "257", "347", "356"))
+    )
+    report = cli(["verify", str(src)])
+    assert (report.status, report.result["class"]) == (0, "orthoalgebra")
+    report = cli(["states", str(src)])
+    assert (report.status, report.text) == (0, "1 2 3 4 5 6 7\n(no states)")
+    assert cli(["prime", str(src)]).status == 1
+    report = cli(["blocks", str(src)])
+    assert report.status == 0
+    assert report.result["count"] == 7
+    assert sorted({a for atoms in report.result["atoms"] for a in atoms}) == list("1234567")
+    assert report.result["blocks"][0] == ["0", "1", "2", "3", "1'", "2'", "3'", "1~"]
 
 
 def test_file_source_parses(tmp_path):

@@ -389,6 +389,17 @@ def test_pasting_collapse_raises():
         P.from_greechie(d)
 
 
+def test_derived_labels_give_way_to_atoms():
+    # atoms are never renamed: a derived label that an atom holds takes "~"
+    t = P.from_greechie(P.GreechieDiagram(["0", "1", "a"], [["0", "1", "a"]]))
+    assert (t.zero, t.one) == ("0~", "1~")
+    t = P.from_greechie(P.GreechieDiagram(["a", "a'", "b"], [["a", "a'", "b"]]))
+    assert list(t.elements) == ["0", "a", "a'", "b", "a'~", "a+b", "b'", "1"]
+    # two atoms whose str collide still raise
+    with pytest.raises(P.PastingError, match="colliding"):
+        P.from_greechie(P.GreechieDiagram([1, "1", "a"], [[1, "1", "a"]]))
+
+
 def test_diagram_validation():
     with pytest.raises(P.StructureError):
         P.GreechieDiagram(["a"], [["a", "a"]])

@@ -22,7 +22,7 @@ from hypothesis import assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 import partlogic as P  # noqa: E402
-from conftest import brute_force_states  # noqa: E402
+from conftest import brute_force_states, sums_preserved  # noqa: E402
 from partlogic.formats import parse_any, serialize  # noqa: E402
 
 bounded = settings(derandomize=True, max_examples=60, deadline=None)
@@ -92,16 +92,6 @@ def relabelled(t, order):
     return P.FiniteQuasiOrthoalgebra(
         [name[t.elements[i]] for i in order], name[t.zero], name[t.one], oplus
     )
-
-
-def sums_preserved(t1, t2, mapping):
-    """The map is a bijection onto t2's elements carrying t1's sums to t2's."""
-    # sets, not sorted lists: `<` on point-set labels is only a partial order
-    values = set(mapping.values())
-    if len(values) != len(mapping) or values != set(t2.elements):
-        return False
-    moved = {(mapping[a], mapping[b]): mapping[c] for (a, b), c in t1.table.items()}
-    return moved == t2.table
 
 
 def isomorphic_to_relabelled(t, data):

@@ -503,11 +503,16 @@ def test_covers_match_brute_force_in_depth_first_order():
 def test_omp_conditions_match_events_cubed_scan():
     rng = random.Random(3)
     fails = {"triple": 0, "concrete": 0, "neither": 0}
-    for trial in range(120):
-        if trial % 2:
-            pts = random_pts_of_pairs(rng)
-        else:
-            pts = random_pts(rng, max_points=5, max_tests=3)
+    spaces = [
+        random_pts_of_pairs(rng) if trial % 2 else random_pts(rng, max_points=5, max_tests=3)
+        for trial in range(120)
+    ]
+    # the partition test spaces of L_3, L_4 and a chain of three blocks
+    chain = ["x%d" % i for i in range(7)]
+    tss = [loop_test_space(3), loop_test_space(4)]
+    tss.append(P.TestSpace(chain, [chain[0:3], chain[2:5], chain[4:7]]))
+    spaces += [P.ts_to_partition_test_space(ts) for ts in tss]
+    for pts in spaces:
         triple, concrete = events_cubed_omp_conditions(pts)
         res = P.omp_conditions(pts)
         assert res.triple_witness == triple
