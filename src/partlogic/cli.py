@@ -20,13 +20,7 @@ from .corpus import get as corpus_get
 from .dot import render_dot
 from .errors import LogicError, ParseError, StructureError
 from .formats import parse_any, serialize
-from .oa import (
-    blocks,
-    classify,
-    format_label,
-    minimal_nonzero,
-    verify_quasi_oa,
-)
+from .oa import _blocks, classify, format_label, verify_quasi_oa
 from .partition import (
     oa_to_partition_logic,
     isomorphic,
@@ -202,14 +196,12 @@ def _cmd_prime(args):
 
 def _cmd_blocks(args):
     table = _table(args.source)
-    blks = blocks(table)
+    names = list(map(format_label, table.elements))
+    found = _blocks(table)
     result = {
-        "count": len(blks),
-        "blocks": [[format_label(e) for e in blk] for blk in blks],
-        "atoms": [
-            [format_label(a) for a in minimal_nonzero(table, blk)]
-            for blk in blks
-        ],
+        "count": len(found),
+        "blocks": [[names[i] for i in members] for members, _, _ in found],
+        "atoms": [[names[p] for p in atoms] for _, atoms, _ in found],
     }
     text = "\n".join(
         "block %d (atoms %s): %s"

@@ -85,6 +85,22 @@ def _matrix(masks, width):
     return digits.encode().translate(bytes.maketrans(b"01", b"\0\1"))
 
 
+def _columns(labels, m):
+    """Each label's 0/1 column of the rows m, and the first inseparable pair or None.
+
+    Labels with equal columns are inseparable; groups are keyed in order of
+    their first member, so the first group with two members gives the first
+    inseparable pair in combination order.
+    """
+    n = len(labels)
+    columns = [m[i::n] for i in range(n)]
+    groups = {}
+    for label, column in zip(labels, columns):
+        groups.setdefault(column, []).append(label)
+    twins = next((tuple(g[:2]) for g in groups.values() if len(g) > 1), None)
+    return columns, twins
+
+
 def count_exact_covers(width, rows):
     """The number of exact covers of columns 0..width-1, without listing them."""
     return _search(width, rows, 1, math.prod, lambda pairs: sum(n for n, _ in pairs))

@@ -4,11 +4,10 @@ from .errors import StructureError
 from .oa import (
     FiniteQuasiOrthoalgebra,
     GreechieDiagram,
-    blocks,
+    _blocks,
     format_label,
     from_greechie,
     hasse_covers,
-    minimal_nonzero,
     verify_quasi_oa,
 )
 
@@ -75,5 +74,5 @@ def render_dot(structure, style):
         )
     if style == "hasse":
         return _hasse_dot(structure)
-    atom_blocks = [minimal_nonzero(structure, blk) for blk in blocks(structure)]
-    return _greechie_dot(atom_blocks)
+    el = structure.elements
+    return _greechie_dot([[el[p] for p in atoms] for _, atoms, _ in _blocks(structure)])

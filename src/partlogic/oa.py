@@ -448,13 +448,13 @@ def _compatible(table, p):
     return up[p] | partners[p] | split
 
 
-def blocks(table):
-    """All maximal Boolean sub-structures, as element tuples in index order.
+def _blocks(table):
+    """All maximal Boolean sub-structures, as index triples (members, atoms, sums).
 
     Grown depth-first from {0, 1}: each Boolean closed subset popped off a
     stack is extended by one element at a time, the extensions that close
     to Boolean sets not met before are pushed, and the subsets admitting
-    none are reported.
+    none are reported with the atoms and sums `_boolean` proved them by.
     On an orthoalgebra an element is tried only when it is `_compatible`
     with each atom of the subset; the members of a Boolean extension all
     are, so none is lost.  On any other table a subset passing `_boolean`
@@ -467,15 +467,15 @@ def blocks(table):
     everything = (1 << len(table.elements)) - 1
     pruned = _is_orthoalgebra(table)
     compatible = {}
-    # a set is pushed once, with its mask and atoms; one met again is Boolean
+    # a set is pushed once, with its mask, atoms and sums; one met again is Boolean
     seen = {start}
-    maximal = set()
-    stack = [(start, sum(1 << i for i in start), found[0])]
+    maximal = {}
+    stack = [(start, sum(1 << i for i in start), found)]
     while stack:
-        current, mask, atoms = stack.pop()
+        current, mask, found = stack.pop()
         candidates = everything & ~mask
         if pruned:
-            for p in atoms:
+            for p in found[0]:
                 if p not in compatible:
                     compatible[p] = _compatible(table, p)
                 candidates &= compatible[p]
@@ -485,21 +485,26 @@ def blocks(table):
             if grown is None:
                 continue
             if grown not in seen:
-                found = _boolean(table, grown)
-                if found is None:
+                boolean = _boolean(table, grown)
+                if boolean is None:
                     continue
                 seen.add(grown)
-                stack.append((grown, sum(1 << i for i in grown), found[0]))
+                stack.append((grown, sum(1 << i for i in grown), boolean))
             extended = True
         if not extended:
-            maximal.add(current)
+            maximal[current] = found
     # a set reported maximal on one path may still sit inside another block
-    maximal = [
-        tuple(sorted(blk))
-        for blk in maximal
+    return sorted(
+        (tuple(sorted(blk)), *found)
+        for blk, found in maximal.items()
         if not any(other != blk and blk < other for other in maximal)
-    ]
-    return [tuple(table.elements[i] for i in blk) for blk in sorted(maximal)]
+    )
+
+
+def blocks(table):
+    """All maximal Boolean sub-structures, as element tuples in index order."""
+    el = table.elements
+    return [tuple(el[i] for i in members) for members, _, _ in _blocks(table)]
 
 
 def is_omp(table):
@@ -744,9 +749,8 @@ def from_greechie(diagram):
     """
     insides = [subsets(blk) for blk in diagram.blocks]
     class_of = _perspective_classes(insides)
+    # 0 is {empty event}: that is t - h only for h = t, and no block holds another
     zero, one = class_of[frozenset()], class_of[insides[0][-1]]
-    if zero == one:
-        raise PastingError("pasting identifies 0 with 1")
     comp = {
         class_of[h]: class_of[rest]
         for inside in insides

@@ -1,10 +1,10 @@
 """Partition logics, urn models, their pastings, and logic isomorphism.
 
 Point sets are made once and shared: `oa_to_partition_logic` makes one
-support per element, from the columns sliced once off the states' joined
-0/1 rows; `PartitionLogic` checks each distinct partition once;
-`pasting_to_oa` pastes on int masks over the ground ranked by `str` and
-builds one point set per distinct cell union.
+support per element from the columns `cover._columns` reads off the states'
+0/1 rows, and one partition per unordered sum; `PartitionLogic` checks each
+distinct partition once; `pasting_to_oa` pastes on int masks over the
+ground ranked by `str` and builds one point set per distinct cell union.
 """
 
 from collections import defaultdict
@@ -18,7 +18,7 @@ from .oa import (
     format_label,
     subset_unions,
 )
-from .states import TwoValuedState, _primeness
+from .states import TwoValuedState, _primeness, _sum_entries
 
 
 class PartitionLogic:
@@ -157,30 +157,27 @@ def oa_to_partition_logic(table):
     pair x, y yields the partition {p(x), p(y), p((x+y)')} with empty cells
     dropped.
     """
-    primeness, columns = _primeness(table)
-    if not primeness:
-        a, b = primeness.inseparable
+    rows, columns, twins = _primeness(table)
+    if twins is not None:
         raise PrimenessError(
-            "no two-valued state separates %s and %s"
-            % (format_label(a), format_label(b)),
-            pair=primeness.inseparable,
+            "no two-valued state separates %s and %s" % tuple(map(format_label, twins)),
+            pair=twins,
         )
-    sts = primeness.separating
-    names = ["p%d" % (k + 1) for k in range(len(sts))]
+    names = ["p%d" % (k + 1) for k in range(len(rows))]
     # the states valuing x at 1, i.e. the prime ideals omitting x; a state
     # values x' at 1 exactly when it values x at 0, so p((x+y)') is the
     # support of the complement, and equal cells are one object
     support = [frozenset(compress(names, column)) for column in columns]
     elements, index, complement = table.elements, table.index, table.complement
 
+    # y + x gives the partition of x + y, so each unordered sum is met once
     partitions = []
-    for i, row in enumerate(table.rows()):
-        for j, k in row.items():
-            # raises unless the complement is unique
-            outside = support[index(complement(elements[k]))]
-            cells = [c for c in (support[i], support[j], outside) if c]
-            if cells:
-                partitions.append(cells)
+    for i, j, k in _sum_entries(table):
+        # raises unless the complement is unique
+        outside = support[index(complement(elements[k]))]
+        cells = [c for c in (support[i], support[j], outside) if c]
+        if cells:
+            partitions.append(cells)
     return PartitionLogic(names, partitions)
 
 
@@ -233,10 +230,9 @@ def isomorphic(t1, t2):
 
     zero1, one1 = t1.index(t1.zero), t1.index(t1.one)
     zero2, one2 = t2.index(t2.zero), t2.index(t2.one)
+    # the signatures flag 0 and 1, so the equal sorted lists pair them
     mapping = {zero1: zero2, one1: one2}
     used = {zero2, one2}
-    if sig1[zero1] != sig2[zero2] or sig1[one1] != sig2[one2]:
-        return None
     # most-constrained-first: fewest candidates, then index order
     todo = sorted(
         (a for a in range(len(sig1)) if a not in mapping),

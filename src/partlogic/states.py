@@ -9,7 +9,7 @@ atoms; any other table's states pick one member, valued 1, per sum test.
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cover import _exact_covers, _matrix
+from .cover import _columns, _exact_covers, _matrix
 from .errors import StructureError
 from .oa import (
     _bounds,
@@ -253,26 +253,18 @@ def prime_ideal_to_state(table, ideal):
 
 
 def _primeness(table):
-    """is_prime(table), and each element's 0/1 bytes under the states."""
+    """The states' 0/1 rows, each element's column, and `cover._columns`' pair."""
     rows = _state_rows(table)
-    m, n = b"".join(rows), len(table.elements)
-    columns = [m[i::n] for i in range(n)]
-    # elements with equal value columns are inseparable; groups are keyed
-    # in order of their first member, so the first group with two members
-    # gives the first inseparable pair in combination order
-    groups = {}
-    for e, column in zip(table.elements, columns):
-        groups.setdefault(column, []).append(e)
-    for group in groups.values():
-        if len(group) > 1:
-            return PrimenessResult(False, None, tuple(group[:2])), columns
-    sts = tuple(TwoValuedState._of_bits(table, tuple(row)) for row in rows)
-    return PrimenessResult(True, sts, None), columns
+    return (rows, *_columns(table.elements, b"".join(rows)))
 
 
 def is_prime(table):
     """Whether the two-valued states separate every pair of elements."""
-    return _primeness(table)[0]
+    rows, _, twins = _primeness(table)
+    if twins is not None:
+        return PrimenessResult(False, None, twins)
+    sts = tuple(TwoValuedState._of_bits(table, tuple(row)) for row in rows)
+    return PrimenessResult(True, sts, None)
 
 
 def _subtract(row, coef, other):

@@ -11,8 +11,9 @@ in `cover.py`.  For weights the columns are the tests and the rows the
 outcomes (`_weight_rows`); an outcome in no test is free.  For completions
 the columns are the base points and the rows the cells.  A listed weight
 keeps its row of `cover._matrix` and builds its values on first use.
-`ts_to_partition_test_space` reads its columns as point sets and checks
-each test on its outcomes' columns (sums and counts), not the constructor.
+`ts_to_partition_test_space` takes the outcomes' columns, and their first
+inseparable pair, from `cover._columns`; it reads the columns as point sets
+and checks each test on them (sums and counts), not the constructor.
 
 `omp_conditions` reads each test's disjoint event pairs off `_insides` by
 `oa._splits`, into one orthogonality bitmask over event indices per event.
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .atlas import PropertyCheck
-from .cover import _cross, _exact_covers, _matrix, count_exact_covers
+from .cover import _columns, _cross, _exact_covers, _matrix, count_exact_covers
 from .errors import AlgebraicityError, SeparationError, StructureError
 from .oa import (
     AxiomReport,
@@ -332,27 +333,16 @@ def ts_to_partition_test_space(ts):
     m = _two_valued_matrix(ts)
     if not m:
         raise SeparationError("no separating two-valued weights")
-    n = len(ts.outcomes)
-    columns = [m[i::n] for i in range(n)]
-
-    # groups are keyed in order of their first outcome, so the first group
-    # with two members gives the first inseparable pair in combination order
-    groups = {}
-    for x, column in zip(ts.outcomes, columns):
-        groups.setdefault(column, []).append(x)
-    for group in groups.values():
-        if len(group) > 1:
-            x, y = group[:2]
-            raise SeparationError(
-                "outcomes %r and %r are inseparable" % (x, y), pair=(x, y)
-            )
+    columns, twins = _columns(ts.outcomes, m)
+    if twins is not None:
+        raise SeparationError("outcomes %r and %r are inseparable" % twins, pair=twins)
     for x, column in zip(ts.outcomes, columns):
         if 1 not in column:
             raise SeparationError("no two-valued weight values outcome %r at 1" % (x,))
     # read as ints, a test's columns sum to the all-ones int with one 1 per
     # weight in all exactly when every weight lies in one of its cells; the
     # count rules out carries, each of which turns 256 in a digit into 1
-    w = len(m) // n
+    w = len(m) // len(ts.outcomes)
     value = dict(zip(ts.outcomes, (int.from_bytes(c, "big") for c in columns)))
     count = dict(zip(ts.outcomes, (c.count(1) for c in columns)))
     ones = int.from_bytes(b"\1" * w, "big")

@@ -8,11 +8,19 @@ builds one value tuple per cover, here named `enumerate_cover_states`,
 `value_columns`, which transposes the tuples with `zip`, and `is_prime`,
 which groups elements by those columns.  Only that name and the imports
 differ; in this module `is_prime` takes its states from the propagation
-search, which lists the same states as the cover listing.
+search, which lists the same states as the cover listing.  And the walk of
+`oa_to_partition_logic` over every sum entry, which made one partition for
+a + b and another for b + a; it reads the states and columns of this
+module's `is_prime` and `value_columns`, where the walk took them from
+`states._primeness`.
 """
 
+from itertools import compress
+
 from partlogic.cover import _exact_covers
-from partlogic.oa import QUASI_AXIOMS, _violations
+from partlogic.errors import PrimenessError
+from partlogic.oa import QUASI_AXIOMS, _violations, format_label
+from partlogic.partition import PartitionLogic
 from partlogic.states import (
     PrimenessResult,
     TwoValuedState,
@@ -142,3 +150,38 @@ def is_prime(table):
         if len(group) > 1:
             return PrimenessResult(False, None, tuple(group[:2]))
     return PrimenessResult(True, tuple(sts), None)
+
+
+def oa_to_partition_logic(table):
+    """Represent a prime table as a partition logic over its prime ideals.
+
+    Points are the two-valued states (one per prime ideal); each orthogonal
+    pair x, y yields the partition {p(x), p(y), p((x+y)')} with empty cells
+    dropped.
+    """
+    primeness = is_prime(table)
+    if not primeness:
+        a, b = primeness.inseparable
+        raise PrimenessError(
+            "no two-valued state separates %s and %s"
+            % (format_label(a), format_label(b)),
+            pair=primeness.inseparable,
+        )
+    sts = primeness.separating
+    names = ["p%d" % (k + 1) for k in range(len(sts))]
+    columns = value_columns(table, sts)
+    # the states valuing x at 1, i.e. the prime ideals omitting x; a state
+    # values x' at 1 exactly when it values x at 0, so p((x+y)') is the
+    # support of the complement, and equal cells are one object
+    support = [frozenset(compress(names, column)) for column in columns]
+    elements, index, complement = table.elements, table.index, table.complement
+
+    partitions = []
+    for i, row in enumerate(table.rows()):
+        for j, k in row.items():
+            # raises unless the complement is unique
+            outside = support[index(complement(elements[k]))]
+            cells = [c for c in (support[i], support[j], outside) if c]
+            if cells:
+                partitions.append(cells)
+    return PartitionLogic(names, partitions)

@@ -18,6 +18,12 @@ def test_example_atlas_is_valid():
     assert report.structure_class == "atlas"
 
 
+def test_atlas_needs_a_chart():
+    with pytest.raises(P.StructureError) as err:
+        P.BooleanAtlas([])
+    assert str(err.value) == "atlas needs at least one chart"
+
+
 def test_blocks_atlas_of_firefly_is_valid(firefly):
     atlas = P.quasi_oa_to_atlas(firefly)
     assert P.verify_atlas(atlas).passed

@@ -366,6 +366,22 @@ def test_dot_greechie_from_diagram():
     assert '"n"' in dot
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: render_dot(corpus_entry("wright").payload, "bogus"), "unknown style 'bogus'"),
+        (
+            lambda: render_dot(42, "greechie"),
+            "dot rendering needs a diagram or a table, got 'int'",
+        ),
+    ],
+)
+def test_dot_input_errors(build, message):
+    with pytest.raises(P.StructureError) as err:
+        build()
+    assert str(err.value) == message
+
+
 def test_iso_of_a_thousand_element_loop_has_no_traceback(tmp_path):
     # L_260: 260 three-atom blocks in a loop, 1,042 elements; the search
     # assigns one element per level, deeper than the recursion limit

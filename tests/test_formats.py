@@ -50,6 +50,23 @@ def test_unknown_keyword_reports_line():
     assert err.value.line == 2
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: P.parse("bogus", "atoms: a\n"), "unknown kind 'bogus'"),
+        (lambda: P.serialize(42), "cannot serialize 'int'"),
+        (
+            lambda: P.serialize(P.BooleanAtlas([P.BooleanChart(["a"], ["0", "a"])])),
+            "only point-set atlases serialize",
+        ),
+    ],
+)
+def test_parse_and_serialize_input_errors(build, message):
+    with pytest.raises(P.ParseError) as err:
+        build()
+    assert str(err.value) == message
+
+
 def test_empty_input_rejected():
     with pytest.raises(P.ParseError):
         P.parse("greechie", "   \n# comment only\n")

@@ -409,6 +409,22 @@ def test_diagram_validation():
         P.GreechieDiagram(["a", "b", "c"], [["a", "b", "c"], ["a", "b"]])
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (
+            lambda: P.verify_quasi_oa(P.FiniteQuasiOrthoalgebra(["0", "0", "1"], "0", "1", {})),
+            "duplicate element label 0",
+        ),
+        (lambda: P.GreechieDiagram(["a"], []), "diagram needs at least one block"),
+    ],
+)
+def test_table_and_diagram_input_errors(build, message):
+    with pytest.raises(P.StructureError) as err:
+        build()
+    assert str(err.value) == message
+
+
 def test_corpus_tables_verify(tables):
     for eid, t in tables.items():
         assert P.verify_quasi_oa(t).passed, eid

@@ -13,6 +13,7 @@ from collections import Counter
 
 import order_oracle as old
 import partlogic as P
+from partlogic import oa
 from partlogic.dot import _greechie_dot
 from test_pasting_oracle import (
     loop_diagram,
@@ -77,6 +78,8 @@ def agree(t, rng):
         assert outcome(getattr(P, name), t) == outcome(getattr(old, name), ref), name
     blocks = old.blocks(ref)
     assert P.blocks(t) == blocks
+    for members, atoms, sums in oa._blocks(t):
+        assert (atoms, sums) == oa._boolean(t, set(members))
     for a in t.elements:
         assert t.partners(a) == ref.partners(a)
         assert t.complements(a) == ref.complements(a)

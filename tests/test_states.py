@@ -167,6 +167,20 @@ def test_invalid_ideal_rejected(wright):
         P.prime_ideal_to_state(wright, P.PrimeIdeal(frozenset({"a"})))
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda t: P.TwoValuedState(t, [0, 1]), "state is not total on the element set"),
+        (lambda t: P.TwoValuedState(t, [0, 2, 1, 1]), "state takes a value outside {0,1}"),
+        (lambda t: P.RationalState(t, {}), "state missing value for 0"),
+    ],
+)
+def test_state_input_errors(build, message):
+    with pytest.raises(P.StructureError) as err:
+        build(P.from_greechie(P.GreechieDiagram(["a", "b"], [["a", "b"]])))
+    assert str(err.value) == message
+
+
 # primeness -------------------------------------------------------------------
 
 

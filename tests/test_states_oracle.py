@@ -6,7 +6,10 @@ them missing one `a + 0` entry, on pasted random diagrams, on the pastings
 of random partition logics and on loops under three namings,
 `enumerate_two_valued_states` must list the same bit tuples, in order.
 Orthoalgebras take the atomic test space and other tables the sum tests,
-so both routes are compared.
+so both routes are compared.  `oa_to_partition_logic`, which walks each
+unordered sum once, must give the oracle's ground and partitions, in order,
+or its inseparable pair, on pasted diagrams under shuffled names, on loops
+and on chains.
 """
 
 import random
@@ -47,6 +50,22 @@ def loop(k, naming, rng=None):
         shared, middle = names[:k], names[k:]
     blocks = [[shared[i], middle[i], shared[(i + 1) % k]] for i in range(k)]
     return P.from_greechie(P.GreechieDiagram(shared + middle, blocks))
+
+
+def chain(k):
+    """k three-atom blocks in a line, neighbours sharing one atom."""
+    atoms = ["c%02d" % i for i in range(2 * k + 1)]
+    blocks = [atoms[2 * i : 2 * i + 3] for i in range(k)]
+    return P.from_greechie(P.GreechieDiagram(atoms, blocks))
+
+
+def realization(f, table):
+    """The ground and partitions f builds, or its primeness error and pair."""
+    try:
+        pl = f(table)
+    except P.PrimenessError as exc:
+        return str(exc), exc.pair
+    return pl.ground, pl.partitions
 
 
 def test_random_tables_agree():
@@ -114,3 +133,26 @@ def test_states_of_a_grouped_loop_of_twenty_blocks(tmp_path):
     src.write_text("atoms: %s\n%s\n" % (atoms, "\n".join(blocks)))
     report = cli(["states", str(src)])
     assert (report.status, report.result["count"]) == (0, lucas(20)) == (0, 15127)
+
+
+def test_partition_logics_keep_the_all_entries_walk():
+    rng = random.Random(SEED)
+    tables = []
+    for d in random_diagrams(SEED + 1, 400):
+        names = ["x%02d" % i for i in range(len(d.atoms))]
+        rng.shuffle(names)
+        rename = dict(zip(d.atoms, names))
+        shuffled = P.GreechieDiagram(names, [[rename[a] for a in b] for b in d.blocks])
+        try:
+            tables.append(P.from_greechie(shuffled))
+        except P.LogicError:
+            continue
+    tables += [loop(k, naming, rng) for k in range(3, 9) for naming in ("structural", "shuffled")]
+    tables += [chain(k) for k in range(1, 7)]
+    prime = 0
+    for t in tables:
+        want = realization(old.oa_to_partition_logic, t)
+        assert realization(P.oa_to_partition_logic, t) == want
+        prime += isinstance(want[0], tuple)
+    # both branches are met often
+    assert prime >= 300 and len(tables) - prime >= 30, (prime, len(tables))

@@ -76,6 +76,30 @@ def test_partition_test_space_rejects_overlapping_or_short_tests():
             P.PartitionTestSpace(base, [p, q, pq], tests)
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: P.TestSpace([], [{"a"}]), "empty outcome set"),
+        (lambda: P.TestSpace(["a", "a"], [{"a"}]), "duplicate outcome"),
+        (lambda: P.TestSpace(["a"], []), "no tests"),
+        (lambda: P.TestSpace(["a"], [{"b"}]), "test mentions an undeclared outcome"),
+        (lambda: P.PartitionTestSpace([], [], []), "empty base set"),
+        (
+            lambda: P.PartitionTestSpace(["p"], [], [fs({fs({"p"})})]),
+            "test uses an undeclared cell",
+        ),
+        (
+            lambda: P.PartitionTestSpace(["p"], [{"p"}, {"q"}], [fs({fs({"p"})})]),
+            "cell leaves the base set",
+        ),
+    ],
+)
+def test_test_space_input_errors(build, message):
+    with pytest.raises(P.StructureError) as err:
+        build()
+    assert str(err.value) == message
+
+
 def test_all_partition_test_spaces_are_test_spaces():
     for pl_id in ("pl-wright", "pl-fig12"):
         pts = P.partition_logic_to_pts(corpus_entry(pl_id).payload)
