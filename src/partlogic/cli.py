@@ -2,7 +2,7 @@
 
 Sources are ``corpus:<id>`` or file paths; file kinds are inferred from the
 leading keyword.  Exit codes: 0 success/property-true, 1 property-false
-(witness included in the report), 2 input or usage error.
+(witness included in the report), 2 input or usage error, 3 out of memory.
 """
 
 import argparse
@@ -394,6 +394,8 @@ def cli(argv):
         return Report(list(argv), 2, {"error": str(exc)}, "error: %s" % exc)
     except LogicError as exc:
         return Report(list(argv), 1, {"error": str(exc)}, "error: %s" % exc)
+    except MemoryError:
+        return Report(list(argv), 3, {"error": "out of memory"}, "error: out of memory")
     return Report(list(argv), status, result, text, *end)
 
 

@@ -12,8 +12,11 @@ outcomes (`_weight_rows`); an outcome in no test is free.  For completions
 the columns are the base points and the rows the cells.  A listed weight
 keeps its row of `cover._matrix` and builds its values on first use.
 `ts_to_partition_test_space` takes the outcomes' columns, and their first
-inseparable pair, from `cover._columns`; it reads the columns as point sets
-and checks each test on them (sums and counts), not the constructor.
+inseparable pair, from `cover._columns`, and reads the columns as point
+sets.  Each weight is an exact cover, so every test partitions the weights;
+the tests `completion` adds are exact covers too, and those of
+`partition_logic_to_pts` come from a checked `PartitionLogic`, so these
+three skip the constructor's checks.
 
 `omp_conditions` reads each test's disjoint event pairs off `_insides` by
 `oa._splits`, into one orthogonality bitmask over event indices per event.
@@ -233,13 +236,8 @@ def pi_logic(ts):
     for e in ts.events():
         rep.setdefault(class_of[e], e)
     pieces = [[rep[class_of[e]] for e in inside] for inside in ts._insides]
-    oplus, clash = block_sums(pieces)
-    if clash is not None:
-        _, a, b = clash
-        raise AlgebraicityError(
-            "sum of classes %s + %s is not well-defined"
-            % (format_label(a), format_label(b))
-        )
+    # on an algebraic test space the sum of two classes is well-defined
+    oplus, _ = block_sums(pieces)
     # a piece runs from the empty event to its whole test, and all tests
     # are perspective through the empty event, so they form the class 1
     zero, one = pieces[0][0], pieces[0][-1]
@@ -339,17 +337,9 @@ def ts_to_partition_test_space(ts):
     for x, column in zip(ts.outcomes, columns):
         if 1 not in column:
             raise SeparationError("no two-valued weight values outcome %r at 1" % (x,))
-    # read as ints, a test's columns sum to the all-ones int with one 1 per
-    # weight in all exactly when every weight lies in one of its cells; the
-    # count rules out carries, each of which turns 256 in a digit into 1
-    w = len(m) // len(ts.outcomes)
-    value = dict(zip(ts.outcomes, (int.from_bytes(c, "big") for c in columns)))
-    count = dict(zip(ts.outcomes, (c.count(1) for c in columns)))
-    ones = int.from_bytes(b"\1" * w, "big")
-    for t in ts.tests:
-        if sum(map(value.__getitem__, t)) != ones or sum(map(count.__getitem__, t)) != w:
-            raise StructureError("test is not a partition of the base")
-    names = ["w%d" % (k + 1) for k in range(w)]
+    # each weight is an exact cover: it values one outcome of each test 1,
+    # so every test partitions the weights
+    names = ["w%d" % (k + 1) for k in range(len(m) // len(ts.outcomes))]
     cells = [frozenset(itertools.compress(names, column)) for column in columns]
     phi = dict(zip(ts.outcomes, cells))
     tests = [frozenset(map(phi.__getitem__, t)) for t in ts.tests]
@@ -376,7 +366,7 @@ def completion(pts):
     """Add every partition of the base formable from the declared cells."""
     existing = set(pts.tests)
     added = [c for c in _partitions(pts) if c not in existing]
-    return PartitionTestSpace(pts.base, pts.cells, list(pts.tests) + added)
+    return PartitionTestSpace._of_parts(pts.base, pts.cells, list(pts.tests) + added)
 
 
 def is_complete(pts):
@@ -396,9 +386,10 @@ def pts_to_partition_logic(pts):
 
 def partition_logic_to_pts(pl):
     """Cells of all partitions become outcomes; partitions become tests."""
-    cells = [c for part in pl.partitions for c in part]
+    cells = dict.fromkeys(c for part in pl.partitions for c in part)
     tests = [frozenset(part) for part in pl.partitions]
-    return PartitionTestSpace(pl.ground, cells, tests)
+    # PartitionLogic checked that each partition partitions the ground
+    return PartitionTestSpace._of_parts(pl.ground, cells, tests)
 
 
 @dataclass(frozen=True)

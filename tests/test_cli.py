@@ -156,6 +156,23 @@ def test_machine_without_states_is_input_error(tmp_path, capsys):
     assert capsys.readouterr() == ("error: empty state set\n", "")
 
 
+def test_out_of_memory_exits_three_without_traceback(monkeypatch, capsys):
+    def exhausted(table):
+        raise MemoryError
+
+    monkeypatch.setattr("partlogic.cli.enumerate_two_valued_states", exhausted)
+    assert main(["states", "corpus:wright"]) == 3
+    assert capsys.readouterr() == ("error: out of memory\n", "")
+    assert main(["--json", "states", "corpus:wright"]) == 3
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert json.loads(out) == {
+        "command": ["--json", "states", "corpus:wright"],
+        "status": 3,
+        "result": {"error": "out of memory"},
+    }
+
+
 def test_verify_commands():
     assert cli(["verify", "corpus:wright"]).result["class"] == "orthoalgebra"
     assert cli(["verify", "corpus:firefly"]).result["class"] == "omp"

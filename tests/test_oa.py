@@ -347,6 +347,20 @@ def test_boolean_cube_is_omp():
     assert P.is_omp(boolean_table(3)).passed
 
 
+def test_is_omp_reports_verify_oa_outside_orthoalgebras():
+    # MO2 with b + 0 dropped and b + a' = b added: once called an OMP
+    el = ["0", "a", "a'", "b", "b'", "1"]
+    oplus = {(x, "0"): x for x in el} | {("0", x): x for x in el}
+    for x, y in (("a", "a'"), ("b", "b'")):
+        oplus[(x, y)] = oplus[(y, x)] = "1"
+    del oplus[("b", "0")]
+    oplus[("b", "a'")] = "b"
+    t = P.FiniteQuasiOrthoalgebra(el, "0", "1", oplus)
+    report = P.is_omp(t)
+    assert report == P.verify_oa(t)
+    assert report.structure_class == P.classify(t) == "not_quasi_oa"
+
+
 # Mackey decompositions -------------------------------------------------------
 
 

@@ -5,9 +5,13 @@ seeded random tables, a third of them missing one `a + 0` entry, on random
 Greechie pastings, partition logics and atlases, and on the corpus, every
 order query must give the same value, witness and exception.  The blocks
 search, which prunes by compatibility on orthoalgebras only, is compared on
-larger loops and Fano-plane pastings too.
+larger loops and Fano-plane pastings too.  The old `is_omp` assumed an
+orthoalgebra, so it is compared on orthoalgebras only, there also on
+pastings around a loop of three to five blocks; any other table must get
+`verify_oa`'s report.
 """
 
+import itertools
 import random
 from collections import Counter
 
@@ -15,6 +19,7 @@ import order_oracle as old
 import partlogic as P
 from partlogic import oa
 from partlogic.dot import _greechie_dot
+from partlogic.oa import AxiomReport
 from test_pasting_oracle import (
     loop_diagram,
     random_diagrams,
@@ -71,11 +76,15 @@ def agree(t, rng):
         "verify_oa",
         "verify_oa_golfin",
         "classify",
-        "is_omp",
         "order_transitivity_counterexample",
         "atoms_of",
     ):
         assert outcome(getattr(P, name), t) == outcome(getattr(old, name), ref), name
+    # the old is_omp assumed an orthoalgebra; the new one gates on verify_oa
+    if outcome(old.verify_oa, ref) == AxiomReport("orthoalgebra", ()):
+        assert outcome(P.is_omp, t) == outcome(old.is_omp, ref)
+    else:
+        assert outcome(P.is_omp, t) == outcome(P.verify_oa, t)
     blocks = old.blocks(ref)
     assert P.blocks(t) == blocks
     for members, atoms, sums in oa._blocks(t):
@@ -145,3 +154,44 @@ def test_blocks_match_label_search_on_loops_and_fano_pastings():
     for t in tables:
         assert P.verify_oa(t).passed
         assert P.blocks(t) == old.blocks(old.LabelTable(t))
+
+
+def loop_core_pasting(rng):
+    """A loop of 3 to 5 blocks plus up to 3 pendant blocks, under shuffled names.
+
+    Half the loops have three blocks.  Each loop block holds the atoms it
+    shares with its two neighbours and one or two middle atoms; a pendant
+    block holds one atom met before and one or two new ones.
+    """
+    k = rng.choice((3, 3, 4, 5))
+    fresh = itertools.count(k)
+    blocks = [
+        [i, (i + 1) % k] + [next(fresh) for _ in range(rng.randint(1, 2))]
+        for i in range(k)
+    ]
+    for _ in range(rng.randint(0, 3)):
+        met = rng.choice([a for blk in blocks for a in blk])
+        blocks.append([met] + [next(fresh) for _ in range(rng.randint(1, 2))])
+    names = ["a%02d" % i for i in range(next(fresh))]
+    rng.shuffle(names)
+    diagram = P.GreechieDiagram(names, [[names[a] for a in blk] for blk in blocks])
+    return P.from_greechie(diagram)
+
+
+def test_is_omp_matches_label_scans_on_loop_pastings():
+    # a loop of three blocks keeps the pasting from being an OMP, and the
+    # witness is the first sum that is not the join of its terms; a pendant
+    # two-atom block can break associativity, and verify_oa's report stands
+    rng = random.Random(SEED + 3)
+    classes = Counter()
+    for _ in range(500):
+        t = loop_core_pasting(rng)
+        ref = old.LabelTable(t)
+        report = P.is_omp(t)
+        if old.verify_oa(ref).passed:
+            assert report == old.is_omp(ref)
+        else:
+            assert report == P.verify_oa(t)
+        classes[report.structure_class] += 1
+    assert classes["orthoalgebra"] >= 200
+    assert classes["omp"] and classes["quasi_oa"]

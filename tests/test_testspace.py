@@ -737,18 +737,6 @@ def test_outcome_that_no_weight_values_is_named():
     assert str(err.value) == "no two-valued weight values outcome 'o6' at 1"
 
 
-def test_partition_check_sees_through_carries(monkeypatch):
-    # a matrix no search gives: the last weight values all 257 outcomes of
-    # the one test, whose base-256 digit carries, so the columns still sum
-    # to the all-ones int; only the count of 1s shows the overlap
-    n = 257
-    ts = P.TestSpace(["o%d" % i for i in range(n)], [["o%d" % i for i in range(n)]])
-    rows = [[int(i == k) for i in range(n)] for k in range(256)] + [[0] * n, [1] * n]
-    monkeypatch.setattr(testspace, "_two_valued_matrix", lambda ts: bytes(sum(rows, [])))
-    with pytest.raises(P.StructureError, match="^test is not a partition of the base$"):
-        P.ts_to_partition_test_space(ts)
-
-
 def test_weight_listing_memory_is_pinned():
     # the cover search holds every subproblem's list until it returns: a
     # 19.1 MB peak for the Lucas(24) = 103,682 weights of the 24-block loop,
