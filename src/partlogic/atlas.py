@@ -93,14 +93,7 @@ class BooleanAtlas:
             raise StructureError("atlas needs at least one chart")
 
     def labels(self):
-        out = []
-        seen = set()
-        for chart in self.charts:
-            for v in chart.members():
-                if v not in seen:
-                    seen.add(v)
-                    out.append(v)
-        return out
+        return list(dict.fromkeys(v for chart in self.charts for v in chart.members()))
 
     def charts_containing(self, a):
         return [c for c in self.charts if a in c]
@@ -202,16 +195,12 @@ def _lookup(atlas, a):
 
 def compatible(atlas, a, b):
     """Some chart contains both."""
-    _lookup(atlas, b)
-    return any(b in c for c in _lookup(atlas, a))
+    return jointly_compatible(atlas, (b, a))
 
 
 def orthogonal(atlas, a, b):
     """Some chart contains both with meet 0."""
-    _lookup(atlas, b)
-    return any(
-        b in c and c.meet(a, b) == c.zero for c in _lookup(atlas, a)
-    )
+    return jointly_orthogonal(atlas, (b, a))
 
 
 def jointly_compatible(atlas, subset):

@@ -146,17 +146,14 @@ def run(machine, q0, word, include_initial=False):
         raise StructureError("unknown initial state %r" % (q0,))
     columns = _columns(machine, word)
     q = machine.states.index(q0)
-    outputs, out = machine.outputs, machine.out
+    n, outputs, steps = len(machine.states), machine.outputs, machine._keyed
     emitted = []
     if machine.kind == "moore" and include_initial:
-        emitted.append(outputs[out[q]])
+        emitted.append(outputs[machine.out[q]])
     for j in columns:
-        if machine.kind == "mealy":
-            emitted.append(outputs[out[j][q]])
-            q = machine.succ[j][q]
-        else:
-            q = machine.succ[j][q]
-            emitted.append(outputs[out[q]])
+        succ, keys = steps[j]
+        emitted.append(outputs[keys[q] // n])
+        q = succ[q]
     return tuple(emitted)
 
 

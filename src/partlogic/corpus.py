@@ -34,12 +34,7 @@ class CorpusEntry:
 
 def _greechie(spec):
     blocks = [b.split() for b in spec.split(";")]
-    atoms = []
-    for blk in blocks:
-        for a in blk:
-            if a not in atoms:
-                atoms.append(a)
-    return GreechieDiagram(atoms, blocks)
+    return GreechieDiagram(dict.fromkeys(a for blk in blocks for a in blk), blocks)
 
 
 def _pl(points, parts):
@@ -216,11 +211,14 @@ def get(entry_id):
     raise StructureError("no corpus entry named %r" % entry_id)
 
 
+def _to_table(kind, payload, source):
+    """Paste a table-like source into a quasi-orthoalgebra by its kind."""
+    build = TO_TABLE.get(kind)
+    if build is None:
+        raise StructureError("source %s (%s) does not define a logic table" % (source, kind))
+    return build(payload)
+
+
 def as_table(entry):
     """Paste a table-like entry into a quasi-orthoalgebra."""
-    build = TO_TABLE.get(entry.kind)
-    if build is None:
-        raise StructureError(
-            "corpus entry %r (%s) does not define a table" % (entry.id, entry.kind)
-        )
-    return build(entry.payload)
+    return _to_table(entry.kind, entry.payload, "corpus:" + entry.id)

@@ -28,12 +28,7 @@ def _quote(label):
 
 def _greechie_dot(atom_blocks):
     lines = ["graph greechie {", "  layout=neato;", "  node [shape=circle];"]
-    seen = []
-    for blk in atom_blocks:
-        for a in blk:
-            if a not in seen:
-                seen.append(a)
-    for a in seen:
+    for a in dict.fromkeys(x for blk in atom_blocks for x in blk):
         lines.append("  %s;" % _quote(a))
     for i, blk in enumerate(atom_blocks):
         color = _COLORS[i % len(_COLORS)]

@@ -211,6 +211,9 @@ def is_state(table, s):
 def _check_two_valued(table, s):
     if s(table.one) != 1:
         raise StructureError("state does not map 1 to 1")
+    for e in table.elements:
+        if s(e) not in (0, 1):
+            raise StructureError("state is not two-valued at %s" % format_label(e))
     for a, b, c in table.pairs():
         if s(a) + s(b) != s(c):
             raise StructureError(

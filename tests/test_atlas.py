@@ -40,6 +40,16 @@ def test_duplicate_charts_rejected():
     assert "atlas-no-containment" in report.failing_axioms()
 
 
+def test_charts_with_different_zeros_fail_shared_bounds():
+    left = P.BooleanChart(["a", "b"], ["0", "a", "b", "1"])
+    right = P.BooleanChart(["a", "c"], ["z", "a", "c", "1"])
+    report = P.verify_atlas(P.BooleanAtlas([left, right]))
+    # the complements of 1 differ too
+    assert report.failing_axioms() == ("atlas-shared-bounds", "atlas-complement-agreement")
+    zeros, ones = report.violations[0].witness
+    assert (sorted(zeros), ones) == (["0", "z"], ("1",))
+
+
 def test_label_collision_is_structural():
     with pytest.raises(P.StructureError, match="label collision inside a chart"):
         P.BooleanChart(("a", "b"), ["0", "x", "x", "1"])
@@ -157,6 +167,11 @@ def test_unknown_label_raises():
     atlas = nontransitive_atlas()
     with pytest.raises(P.StructureError):
         P.compatible(atlas, fs({"3"}), fs({"7"}))
+    # of two unknown labels, the pair predicates name the second
+    for predicate in (P.compatible, P.orthogonal):
+        with pytest.raises(P.StructureError) as err:
+            predicate(atlas, fs({"7"}), fs({"8"}))
+        assert str(err.value) == "unknown label {8}"
 
 
 def test_joint_implies_pairwise(wright):

@@ -1,9 +1,13 @@
 """Machine runs, experiment partitions, and the realization construction."""
 
+import random
+
 import pytest
 
 import partlogic as P
+import automata_oracle as oracle
 from conftest import corpus_entry
+from test_automata_oracle import random_machine
 from test_pasting_oracle import loop_diagram
 
 fs = frozenset
@@ -32,6 +36,22 @@ def test_run_table14_cell():
 def test_empty_word_gives_empty_output():
     m = mealy_wright()
     assert P.run(m, "1", []) == ()
+
+
+def test_run_matches_the_label_oracle():
+    rng = random.Random(12)
+    kinds = {"mealy": 0, "moore": 0}
+    empty = 0
+    for _ in range(400):
+        m = random_machine(rng)
+        kinds[m.kind] += 1
+        word = [rng.choice(m.inputs) for _ in range(rng.randint(0, 8))]
+        empty += not word
+        q0 = rng.choice(m.states)
+        for initial in (False, True):
+            want = oracle.run(m, q0, word, include_initial=initial)
+            assert P.run(m, q0, word, include_initial=initial) == want, (m, q0, word)
+    assert all(kinds.values()) and empty, (kinds, empty)
 
 
 def test_unknown_symbol_rejected():

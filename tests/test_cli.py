@@ -183,6 +183,31 @@ def test_verify_commands():
     assert report.result["manifold"] is True
 
 
+@pytest.mark.parametrize(
+    "blocks, status, text, violations",
+    [
+        # a table failing the quasi axioms lists its violations
+        (
+            ["a3 a4 a2", "a1 a3", "a0 a2 a1 a4"],
+            1,
+            "class: not_quasi_oa\nviolation oav: a1 0\n",
+            [{"axiom": "oav", "witness": ["a1", "0"]}],
+        ),
+        # one passing them but not associativity lists none
+        (["a5 a0 a6 a3", "a1 a2 a4", "a3 a0 a2"], 0, "class: quasi_oa\n", []),
+    ],
+)
+def test_verify_reports_the_quasi_axioms_a_table_fails(tmp_path, capsys, blocks, status, text, violations):
+    atoms = sorted({a for b in blocks for a in b.split()})
+    src = tmp_path / "d.txt"
+    src.write_text("atoms: %s\n" % " ".join(atoms) + "".join("block: %s\n" % b for b in blocks))
+    assert main(["verify", str(src)]) == status
+    assert capsys.readouterr() == (text, "")
+    assert main(["--json", "verify", str(src)]) == status
+    result = json.loads(capsys.readouterr().out)["result"]
+    assert (result["class"], result["violations"]) == (text.split()[1], violations)
+
+
 def test_blocks_command():
     report = cli(["blocks", "corpus:firefly"])
     assert report.status == 0

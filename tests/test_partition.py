@@ -74,6 +74,9 @@ def test_point_evaluations_separate():
             rs = P.RationalState(t, {e: s(e) for e in t.elements})
             assert P.is_state(t, rs)
         assert P.is_prime(t)
+        # without a table, the evaluations are read on the pasting
+        own = P.point_evaluations(pl)
+        assert [[s(e) for e in t.elements] for s in own] == [[s(e) for e in t.elements] for s in evs]
 
 
 # oa -> partition logic -------------------------------------------------------
@@ -177,6 +180,10 @@ def test_iso_ex72_to_wright_diagram(wright):
     assert iso is not None
     for (a, b), c in t.table.items():
         assert wright.value(iso[a], iso[b]) == iso[c]
+    back = iso.inverse()
+    assert all(back[iso[a]] == a for a in t.elements)
+    for (a, b), c in wright.table.items():
+        assert t.value(back[a], back[b]) == back[c]
 
 
 def test_iso_respects_cardinality(firefly, wright):

@@ -115,6 +115,14 @@ def test_broken_normalization_is_not_a_state():
     assert not P.is_state(t, P.RationalState(t, values))
 
 
+def test_is_state_rejects_a_bad_unit_or_a_value_outside_the_unit_interval():
+    t = P.from_greechie(P.GreechieDiagram(["a", "b"], [["a", "b"]]))
+    state = {"0": 0, "a": 1, "b": 0, "1": 1}
+    assert P.is_state(t, P.RationalState(t, state))
+    for change in ({"1": 0}, {"a": 2, "b": -1}):
+        assert not P.is_state(t, P.RationalState(t, {**state, **change}))
+
+
 # state <-> prime ideal -------------------------------------------------------
 
 
@@ -165,6 +173,43 @@ def test_fig12_row5_ideal_excludes_c_f_g(fig12):
 def test_invalid_ideal_rejected(wright):
     with pytest.raises(P.StructureError):
         P.prime_ideal_to_state(wright, P.PrimeIdeal(frozenset({"a"})))
+
+
+def test_an_ideal_outside_the_elements_is_not_prime(wright):
+    assert not P.is_prime_ideal(wright, P.PrimeIdeal(frozenset({"0", "z"})))
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        ({"1": 0}, "state does not map 1 to 1"),
+        ({"a": 0}, "state not additive on a + b"),
+        ({"a": Fraction(1, 2), "b": Fraction(1, 2)}, "state is not two-valued at a"),
+    ],
+)
+def test_state_to_prime_ideal_needs_a_two_valued_state(change, message):
+    t = P.from_greechie(P.GreechieDiagram(["a", "b"], [["a", "b"]]))
+    state = P.RationalState(t, {"0": 0, "a": 1, "b": 0, "1": 1, **change})
+    with pytest.raises(P.StructureError) as err:
+        P.state_to_prime_ideal(t, state)
+    assert str(err.value) == message
+
+
+def test_an_additive_state_off_zero_and_one_has_no_prime_ideal(wright):
+    # a = c = e = 1/2 and b = d = f = 0, extended through each block's sums,
+    # is a state; its zeros {0, b, d, f} are not a prime ideal
+    half = Fraction(1, 2)
+    atoms = {"a": half, "b": 0, "c": half, "d": 0, "e": half, "f": 0}
+    values = {}
+    for blk in P.blocks(wright):
+        _, sums = P.boolean_atoms(wright, frozenset(blk))
+        values.update((e, sum(atoms[a] for a in subset)) for subset, e in sums.items())
+    state = P.RationalState(wright, values)
+    assert P.is_state(wright, state)
+    assert not P.is_prime_ideal(wright, P.PrimeIdeal(frozenset({"0", "b", "d", "f"})))
+    with pytest.raises(P.StructureError) as err:
+        P.state_to_prime_ideal(wright, state)
+    assert str(err.value) == "state is not two-valued at a"
 
 
 @pytest.mark.parametrize(

@@ -678,6 +678,9 @@ def test_listed_weights_hold_exact_zero_one_values():
     w = P.Weight(ts, {z: "1/2" if z in (x, y) else 0 for z in ts.outcomes})
     assert w(x) == Fraction(1, 2) and type(w(ts.outcomes[2])) is Fraction
     assert not P.is_weight(ts, w)
+    # 2 on l, -1 on r and 1 on f sum to 1 on each test, but lie outside [0, 1]
+    w = P.Weight(ts, {z: {x: 2, y: -1, "f": 1}.get(z, 0) for z in ts.outcomes})
+    assert not P.is_weight(ts, w)
     with pytest.raises(KeyError):
         P.Weight(ts, {x: 1})
     with pytest.raises(ValueError):
