@@ -112,25 +112,23 @@ def verify_atlas(atlas):
 
     charts = atlas.charts
     images = [set(c.labels) for c in charts]
-    for i, j in itertools.permutations(range(len(charts)), 2):
-        if images[i] <= images[j]:
-            record("atlas-no-containment", (i, j))
-    for i, j in itertools.combinations(range(len(charts)), 2):
-        shared = images[i] & images[j]
-        for a, b in itertools.product(sorted(shared, key=format_label), repeat=2):
-            if charts[i].leq(a, b) != charts[j].leq(a, b):
-                record("atlas-order-agreement", (a, b, i, j))
     zeros = {c.zero for c in charts}
     ones = {c.one for c in charts}
     if len(zeros) != 1 or len(ones) != 1 or zeros == ones:
         record("atlas-shared-bounds", (tuple(zeros), tuple(ones)))
-    for i, j in itertools.combinations(range(len(charts)), 2):
-        for a in sorted(images[i] & images[j], key=format_label):
-            if charts[i].complement(a) != charts[j].complement(a):
-                record("atlas-complement-agreement", (a, i, j))
+    # one walk over ordered pairs; its i < j pairs come in combinations order
     for i, j in itertools.permutations(range(len(charts)), 2):
-        shared = images[i] & images[j]
-        for a, b in itertools.product(sorted(shared, key=format_label), repeat=2):
+        if images[i] <= images[j]:
+            record("atlas-no-containment", (i, j))
+        shared = sorted(images[i] & images[j], key=format_label)
+        if i < j:
+            for a, b in itertools.product(shared, repeat=2):
+                if charts[i].leq(a, b) != charts[j].leq(a, b):
+                    record("atlas-order-agreement", (a, b, i, j))
+            for a in shared:
+                if charts[i].complement(a) != charts[j].complement(a):
+                    record("atlas-complement-agreement", (a, i, j))
+        for a, b in itertools.product(shared, repeat=2):
             if charts[i].meet(a, b) == charts[i].zero:
                 if charts[i].join(a, b) != charts[j].join(a, b):
                     record("atlas-join-agreement", (a, b, i, j))
@@ -186,11 +184,12 @@ def quasi_oa_to_atlas(table):
     )
 
 
-def _lookup(atlas, a):
-    cs = atlas.charts_containing(a)
-    if not cs:
-        raise StructureError("unknown label %s" % format_label(a))
-    return cs
+def _holding(atlas, subset):
+    """The charts holding every label of subset; an unknown label raises."""
+    for a in subset:
+        if not atlas.charts_containing(a):
+            raise StructureError("unknown label %s" % format_label(a))
+    return [c for c in atlas.charts if all(a in c for a in subset)]
 
 
 def compatible(atlas, a, b):
@@ -204,14 +203,10 @@ def orthogonal(atlas, a, b):
 
 
 def jointly_compatible(atlas, subset):
-    subset = list(subset)
-    for a in subset:
-        _lookup(atlas, a)
-    return any(all(a in c for a in subset) for c in atlas.charts)
+    return bool(_holding(atlas, list(subset)))
 
 
 def pairwise_compatible(atlas, subset):
-    subset = list(subset)
     return all(
         compatible(atlas, a, b) for a, b in itertools.combinations(subset, 2)
     )
@@ -219,19 +214,13 @@ def pairwise_compatible(atlas, subset):
 
 def jointly_orthogonal(atlas, subset):
     subset = list(subset)
-    for a in subset:
-        _lookup(atlas, a)
-    for c in atlas.charts:
-        if all(a in c for a in subset) and all(
-            c.meet(a, b) == c.zero
-            for a, b in itertools.combinations(subset, 2)
-        ):
-            return True
-    return False
+    return any(
+        all(c.meet(a, b) == c.zero for a, b in itertools.combinations(subset, 2))
+        for c in _holding(atlas, subset)
+    )
 
 
 def pairwise_orthogonal(atlas, subset):
-    subset = list(subset)
     return all(
         orthogonal(atlas, a, b) for a, b in itertools.combinations(subset, 2)
     )

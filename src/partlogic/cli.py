@@ -110,23 +110,12 @@ def _cells_json(cells):
 
 def _cmd_verify(args):
     kind, payload = _load(args.source)
-    if kind == "atlas":
-        report = verify_atlas(payload)
-        manifold = bool(is_manifold(payload)) if report.passed else None
-        result = {
-            "kind": kind,
-            "class": report.structure_class,
-            "violations": _violations(report),
-            "manifold": manifold,
-        }
-        return (0 if report.passed else 1), result, _verify_text(result)
-    if kind == "test_space":
-        report = verify_test_space(payload.as_test_space())
-        result = {
-            "kind": kind,
-            "class": report.structure_class,
-            "violations": _violations(report),
-        }
+    if kind in ("atlas", "test_space"):
+        atlas = kind == "atlas"
+        report = verify_atlas(payload) if atlas else verify_test_space(payload.as_test_space())
+        result = {"kind": kind, "class": report.structure_class, "violations": _violations(report)}
+        if atlas:
+            result["manifold"] = bool(is_manifold(payload)) if report.passed else None
         return (0 if report.passed else 1), result, _verify_text(result)
     if kind == "automaton":
         result = {

@@ -6,6 +6,7 @@ their traditional cell order so that realization machines reproduce the
 classic output tables.
 """
 
+import functools
 from dataclasses import dataclass
 
 from .atlas import BooleanAtlas, BooleanChart, atlas_to_quasi_oa
@@ -44,7 +45,9 @@ def _pl(points, parts):
     )
 
 
-def _build():
+@functools.cache
+def corpus():
+    """All bundled entries, in registry order."""
     entries = []
 
     def add(eid, kind, payload, summary):
@@ -191,17 +194,6 @@ def _build():
         "partition test space over four points; its class logic is the firefly",
     )
     return tuple(entries)
-
-
-_CACHE = None
-
-
-def corpus():
-    """All bundled entries, in registry order."""
-    global _CACHE
-    if _CACHE is None:
-        _CACHE = _build()
-    return _CACHE
 
 
 def get(entry_id):

@@ -28,7 +28,9 @@ def _search(width, rows, leaf, product, branch):
     (result, row) pairs of the rows it tries.  A product node hands each
     component its fitting rows and middle layer, so the child branches at
     once; one free column is answered on the spot, since the rows that fit
-    it are the rows equal to it.  An explicit stack replaces recursion.
+    it are the rows equal to it.  A node about to branch that `_dead_end`
+    refutes is a branch over no rows; the others branch as without the check,
+    so listings keep their order.  An explicit stack replaces recursion.
     """
     col_rows, clash = _row_masks(width, rows)
     full = (1 << width) - 1
@@ -47,6 +49,9 @@ def _search(width, rows, leaf, product, branch):
         elif not free & (free - 1):
             stack.pop()
             done[free] = branch((leaf, r) for r in bits(col_rows[free.bit_length() - 1] & fit))
+        elif _dead_end(col_rows, rows, clash, free, fit):
+            stack.pop()
+            done[free] = branch(())
         else:
             tried = None
             if middle is None:
@@ -137,6 +142,29 @@ def _fewest(col_rows, free, fit):
                 break
         free ^= low
     return best
+
+
+def _dead_end(col_rows, rows, clash, free, fit):
+    """Whether taking forced rows leaves a free column that no row fits.
+
+    A forced row is the one row fitting a free column.  Each pass over the
+    free columns takes every forced row it meets, until a pass takes none.
+    """
+    while True:
+        scan = start = free
+        while scan:
+            low = scan & -scan
+            scan ^= low
+            fits = col_rows[low.bit_length() - 1] & fit
+            if not fits:
+                return True
+            if not fits & (fits - 1):
+                r = fits.bit_length() - 1
+                free &= ~rows[r]
+                scan &= free
+                fit &= ~clash[r]
+        if free == start:
+            return False
 
 
 def _components(col_rows, rows, free, fit):

@@ -3,9 +3,9 @@
 parse(kind, text) builds a structure; serialize(structure) emits the
 canonical form (atoms, cells, and partitions sorted).  Parsing preserves
 the given cell order, which matters for automaton output indices.  A
-machine text that the writer wrote is read by its values, and taken only
-if the writer writes the machine back byte for byte; every other text goes
-through the one line reader, `_read`.
+machine text in the writer's form, with LF or CRLF line ends, is read by
+its values, and taken only if the writer writes the machine back so; every
+other text goes through the one line reader, `_read`.
 """
 
 import re
@@ -213,15 +213,17 @@ _VALUE = re.compile(r" -> (.*)\n")
 
 
 def _written_machine(text, kind=None):
-    """The machine whose writer's text is exactly `text`, else None.
+    """The machine whose writer's text is `text`, up to CRLF line ends, else None.
 
     Reads the header names, each list free of '#' and '->' and the states
     and inputs distinct; then every row's value, in the writer's order:
     the delta rows state by state, then the lambda rows.  The kind, unless
     given, is that of the first lambda line.  The machine is taken only if
-    `_machine_text` writes it back byte for byte, so the general path, which
-    reads every other text, would build the same machine.
+    `_machine_text` writes it back byte for byte, every line ending in CRLF
+    if the first does (its values then keep their CR), so the general path,
+    which reads every other text, would build the same machine.
     """
+    cr = "\r" if text[: text.find("\n")].endswith("\r") else ""
     head = _HEAD.match(text)
     if head is None or "#" in head[0] or "->" in head[0]:
         return None
@@ -238,7 +240,7 @@ def _written_machine(text, kind=None):
     values = _VALUE.findall(text, head.end())
     if len(values) != n * m + (n if moore else n * m):
         return None
-    state, output = ({x: i for i, x in enumerate(xs)} for xs in (states, outputs))
+    state, output = ({x + cr: i for i, x in enumerate(xs)} for xs in (states, outputs))
     try:
         steps = list(map(state.__getitem__, values[: n * m]))
         outs = list(map(output.__getitem__, values[n * m :]))
@@ -248,7 +250,7 @@ def _written_machine(text, kind=None):
     out = outs if moore else [outs[j::m] for j in range(m)]
     cls = MooreAutomaton if moore else MealyAutomaton
     machine = cls._from_table(states, inputs, outputs, succ, out)
-    return machine if _machine_text(machine) == text else None
+    return machine if _machine_text(machine, cr + "\n") == text else None
 
 
 def parse(kind, text):
@@ -290,7 +292,7 @@ def _family_text(head, points, row, families):
     return "\n".join(lines)
 
 
-def _machine_text(machine):
+def _machine_text(machine, newline="\n"):
     """The header lines, then one delta and one lambda line per entry.
 
     Rows are joined from shared pieces (a head per state, " a -> " per
@@ -315,10 +317,11 @@ def _machine_text(machine):
         len(inputs) * sum(map(len, states)) + len(states) * sum(map(len, arrows))
     )
     text = ""
-    pieces = ["states: %s\ninputs: %s\noutputs: %s\n" % tuple(map(" ".join, (states, inputs, outputs)))]
+    heads = ("states: ", "inputs: ", "outputs: ")
+    pieces = [head + " ".join(xs) + newline for head, xs in zip(heads, (states, inputs, outputs))]
     held = written = 0
     for key, names, table, arrows in sections:
-        ends = [x + "\n" for x in names]
+        ends = [x + newline for x in names]
         line = [None] * (3 * len(arrows))
         line[1::3] = arrows
         for q, targets in zip(states, zip(*table)):

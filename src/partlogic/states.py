@@ -195,30 +195,28 @@ def enumerate_two_valued_states(table):
     return [TwoValuedState._of_bits(table, tuple(row)) for row in _state_rows(table)]
 
 
-def is_state(table, s):
-    """Exact check of normalization and additivity for a rational state."""
+def _state_fault(table, s, valued):
+    """The first way s fails to be a state with values passing `valued`, or None."""
     if s(table.one) != 1:
-        return False
+        return "state does not map 1 to 1"
     for e in table.elements:
-        if not 0 <= s(e) <= 1:
-            return False
+        if not valued(s(e)):
+            return "state is not two-valued at %s" % format_label(e)
     for a, b, c in table.pairs():
         if s(a) + s(b) != s(c):
-            return False
-    return True
+            return "state not additive on %s + %s" % (format_label(a), format_label(b))
+    return None
+
+
+def is_state(table, s):
+    """Exact check of normalization and additivity for a rational state."""
+    return _state_fault(table, s, lambda v: 0 <= v <= 1) is None
 
 
 def _check_two_valued(table, s):
-    if s(table.one) != 1:
-        raise StructureError("state does not map 1 to 1")
-    for e in table.elements:
-        if s(e) not in (0, 1):
-            raise StructureError("state is not two-valued at %s" % format_label(e))
-    for a, b, c in table.pairs():
-        if s(a) + s(b) != s(c):
-            raise StructureError(
-                "state not additive on %s + %s" % (format_label(a), format_label(b))
-            )
+    fault = _state_fault(table, s, lambda v: v in (0, 1))
+    if fault is not None:
+        raise StructureError(fault)
 
 
 def is_prime_ideal(table, ideal):

@@ -370,12 +370,9 @@ def completion(pts):
 
 
 def is_complete(pts):
-    """True iff completion adds no test."""
-    existing = set(pts.tests)
-    for c in _partitions(pts):
-        if c not in existing:
-            return PropertyCheck(False, (c,))
-    return PropertyCheck(True)
+    """True iff completion adds no test; the witness is the first it adds."""
+    added = completion(pts).tests[len(pts.tests):]
+    return PropertyCheck(not added, added[:1] or None)
 
 
 def pts_to_partition_logic(pts):

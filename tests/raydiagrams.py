@@ -4,6 +4,10 @@
 the vector whose first nonzero entry is positive.  Its blocks are the sets
 of d pairwise orthogonal rays, its atoms the rays in some block.  An atom
 is named by its coordinates, as in "1,0,-1".
+
+The closed `R(3, m)` completes each orthogonal pair of those rays by the
+ray of its cross product, which may leave {-m..m}^3; its blocks are the
+distinct triads, its atoms the rays in some triad.
 """
 
 import itertools
@@ -49,6 +53,25 @@ def name(v):
 def R(d, m):
     """The ray diagram of the primitive vectors in {-m..m}^d."""
     blocks = [[name(v) for v in b] for b in bases(d, m)]
+    return P.GreechieDiagram(dict.fromkeys(a for b in blocks for a in b), blocks)
+
+
+def primitive(v):
+    """The vector of v's ray: divided by its gcd, first nonzero entry positive."""
+    g = math.gcd(*v) * (1 if next(x for x in v if x) > 0 else -1)
+    return tuple(x // g for x in v)
+
+
+def closed_R(m):
+    """The cross-product closure of R(3, m)."""
+    vs = rays(3, m)
+    triads = {}
+    for u, v in itertools.combinations(vs, 2):
+        if sum(map(math.prod, zip(u, v))) == 0:
+            (a, b, c), (x, y, z) = u, v
+            w = primitive((b * z - c * y, c * x - a * z, a * y - b * x))
+            triads.setdefault(frozenset((u, v, w)), (u, v, w))
+    blocks = [[name(x) for x in t] for t in triads.values()]
     return P.GreechieDiagram(dict.fromkeys(a for b in blocks for a in b), blocks)
 
 

@@ -50,6 +50,30 @@ def test_charts_with_different_zeros_fail_shared_bounds():
     assert (sorted(zeros), ones) == (["0", "z"], ("1",))
 
 
+def test_an_atlas_failing_every_axiom_reports_each_first_witness():
+    c = P.BooleanChart(["x", "w"], ["z", "x", "w", "1"])
+    b = P.BooleanChart(["x", "q", "r"], ["0", "x", "q", "y", "r", "xr", "c", "1"])
+    a = P.BooleanChart(["x", "y"], ["0", "x", "y", "1"])
+    report = P.verify_atlas(P.BooleanAtlas([c, b, a, a]))
+    assert report.structure_class == "not_atlas"
+    # ordered pairs for containment and joins, unordered ones for order and
+    # complements: each axiom keeps the first pair and labels that fail it
+    containment, order, bounds, complement, join = report.violations
+    assert [v.axiom for v in report.violations] == [
+        "atlas-no-containment",
+        "atlas-order-agreement",
+        "atlas-shared-bounds",
+        "atlas-complement-agreement",
+        "atlas-join-agreement",
+    ]
+    assert containment.witness == (2, 1)
+    assert order.witness == ("x", "y", 1, 2)
+    zeros, ones = bounds.witness
+    assert (sorted(zeros), ones) == (["0", "z"], ("1",))
+    assert complement.witness == ("1", 0, 1)
+    assert join.witness == ("x", "y", 2, 1)
+
+
 def test_label_collision_is_structural():
     with pytest.raises(P.StructureError, match="label collision inside a chart"):
         P.BooleanChart(("a", "b"), ["0", "x", "x", "1"])

@@ -208,6 +208,22 @@ def test_verify_reports_the_quasi_axioms_a_table_fails(tmp_path, capsys, blocks,
     assert (result["class"], result["violations"]) == (text.split()[1], violations)
 
 
+def test_verify_reports_the_atlas_axioms_a_file_fails(tmp_path, capsys):
+    # the second chart's labels lie inside the first's, and a failing atlas
+    # gets no manifold check; passing atlas and test-space files are golden
+    src = tmp_path / "a.txt"
+    src.write_text("omega: 1 2 3\nchart: 1 | 2 | 3\nchart: 1 2 | 3\n")
+    assert main(["verify", str(src)]) == 1
+    assert capsys.readouterr() == ("class: not_atlas\nviolation atlas-no-containment: 1 0\n", "")
+    assert main(["--json", "verify", str(src)]) == 1
+    assert json.loads(capsys.readouterr().out)["result"] == {
+        "kind": "atlas",
+        "class": "not_atlas",
+        "violations": [{"axiom": "atlas-no-containment", "witness": ["1", "0"]}],
+        "manifold": None,
+    }
+
+
 def test_blocks_command():
     report = cli(["blocks", "corpus:firefly"])
     assert report.status == 0

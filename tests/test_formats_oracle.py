@@ -12,10 +12,11 @@ input error naming the line of its first bad byte.
 
 Serialized seeded Moore and Mealy machines, plain, mutated the same way,
 and with comments, other spacing, glued keywords, repeated entries and
-names, unknown names and missing rows, check the machine reader by values
-against the old parsers too, both where it takes a text and where it hands
-the text to the general path; it takes a text exactly when the text is the
-writer's text of the machine the parsers build.
+names, unknown names, missing rows and CRLF line ends, check the machine
+reader by values against the old parsers too, both where it takes a text
+and where it hands the text to the general path; it takes a text exactly
+when the text is the writer's text of the machine the parsers build, with
+every line ended in LF or every line ended in CRLF.
 """
 
 import random
@@ -138,7 +139,7 @@ def _irregular(rng, text):
     """A machine text with one change of a kind a hand-written text may show.
 
     Returns the text and the name of the change; "arrow" glues '->' to its
-    neighbours.
+    neighbours; "crlf" ends every line in CRLF, "crlf line" one line.
     """
     lines = text.splitlines()
     at = rng.randrange(len(lines))
@@ -146,7 +147,7 @@ def _irregular(rng, text):
     op = rng.choice(
         ["comment", "comment line", "spaces", "blank", "glued", "arrow",
          "repeated pair", "repeated name", "repeated head", "unknown name",
-         "missing row", "head order"]
+         "missing row", "head order", "crlf", "crlf line"]
     )
     if op == "comment":
         lines[at] += rng.choice([" # note", "#", " #"])
@@ -178,6 +179,10 @@ def _irregular(rng, text):
         del lines[at]
     elif op == "head order":
         lines[:3] = rng.sample(lines[:3], 3)
+    elif op == "crlf":
+        return "\r\n".join(lines) + "\r\n", op
+    elif op == "crlf line":
+        lines[at] += "\r"
     return "\n".join(lines) + "\n", op
 
 
@@ -193,17 +198,19 @@ def _check_machine_text(text):
     """The readers agree with the old parsers on one machine text.
 
     The reader by values takes the text, with its kind given or not,
-    exactly when the text is the writer's text of what the parsers build.
-    Returns whether it took the text without a kind.
+    exactly when the text is the writer's text of what the parsers build,
+    up to CRLF line ends.  Returns whether it took the text without a kind.
     """
     want = _outcome(old.parse_any, text)
     assert _outcome(parse_any, text) == want, (text, want)
+    # the writer ends every line in LF, or every line in CRLF
+    written = text.replace("\r\n", "\n") if text.count("\r\n") == text.count("\n") else text
     taken = _written_machine(text) is not None
-    assert taken == (want[0] == "ok" and want[2] == text), (text, want)
+    assert taken == (want[0] == "ok" and want[2] == written), (text, want)
     for kind in ("mealy", "moore"):
         got = _parse_outcome(kind, parse, text)
         assert got == _parse_outcome(kind, old.parse, text), (kind, text)
-        assert (_written_machine(text, kind) is not None) == (got == ("ok", text)), (kind, text)
+        assert (_written_machine(text, kind) is not None) == (got == ("ok", written)), (kind, text)
     if want[0] == "ok":
         m = parse_any(text)[1]
         again = type(m)(m.states, m.inputs, m.outputs, m.delta, m.lam)
@@ -226,10 +233,12 @@ def test_irregular_machine_texts_agree_with_the_old_parsers():
         text, op = _irregular(rng, text)
         taken = _check_machine_text(text)
         seen.setdefault(op, set()).add(taken)
-    # each change is met, and each sends some texts to the general path;
-    # spacing and blank lines send every text there
-    assert len(seen) == 12
-    assert seen["spaces"] == seen["blank"] == {False}
+    # each change is met; CRLF on every line keeps every text the reader's
+    # by values, each other change sends some texts to the general path, and
+    # spacing, blank lines and CRLF on one line send every text there
+    assert len(seen) == 14
+    assert seen.pop("crlf") == {True}
+    assert seen["spaces"] == seen["blank"] == seen["crlf line"] == {False}
     assert all(False in both for both in seen.values()), seen
 
 

@@ -1,12 +1,13 @@
 """Ray diagrams: their sizes, blocks and two-valued states."""
 
 import random
+import time
 
 import pytest
 
 import partlogic as P
 from conftest import brute_force_states
-from raydiagrams import R, bases, name, shuffled
+from raydiagrams import R, bases, closed_R, name, shuffled
 
 # (d, m): atoms, blocks, elements, two-valued states
 FIGURES = {
@@ -28,6 +29,28 @@ def test_ray_diagram_figures(d, m):
     if states < 10**6:
         # the 2,038,431,744 states of R(3,3) are counted only
         assert len(P.enumerate_two_valued_states(table)) == states
+
+
+# m: atoms, blocks and two-valued states of the closed R(3, m)
+CLOSED = {1: (25, 16, 24), 2: (109, 86, 0), 3: (541, 446, 0)}
+
+
+@pytest.mark.parametrize("m", CLOSED)
+def test_closed_ray_diagram_figures(m):
+    atoms, blocks, states = CLOSED[m]
+    diagram = closed_R(m)
+    assert (len(diagram.atoms), len(diagram.blocks)) == (atoms, blocks)
+    assert P.count_two_valued_weights(P.TestSpace.from_greechie(diagram)) == states
+    assert len(P.enumerate_two_valued_states(P.from_greechie(diagram))) == states
+
+
+def test_closed_R33_is_refuted_fast():
+    # it holds the closed R(3, 2), so it has no state; the search ends a
+    # branch once its forced atoms leave a block that no atom can fill
+    ts = P.TestSpace.from_greechie(closed_R(3))
+    start = time.perf_counter()
+    assert P.count_two_valued_weights(ts) == 0
+    assert time.perf_counter() - start < 0.5
 
 
 @pytest.mark.parametrize("d, m", [(3, 1), (3, 2), (4, 1)])

@@ -119,7 +119,8 @@ def test_is_state_rejects_a_bad_unit_or_a_value_outside_the_unit_interval():
     t = P.from_greechie(P.GreechieDiagram(["a", "b"], [["a", "b"]]))
     state = {"0": 0, "a": 1, "b": 0, "1": 1}
     assert P.is_state(t, P.RationalState(t, state))
-    for change in ({"1": 0}, {"a": 2, "b": -1}):
+    # a bad unit, values outside [0, 1] that stay additive, additivity alone
+    for change in ({"1": 0}, {"a": 2, "b": -1}, {"a": 0}):
         assert not P.is_state(t, P.RationalState(t, {**state, **change}))
 
 
@@ -185,6 +186,8 @@ def test_an_ideal_outside_the_elements_is_not_prime(wright):
         ({"1": 0}, "state does not map 1 to 1"),
         ({"a": 0}, "state not additive on a + b"),
         ({"a": Fraction(1, 2), "b": Fraction(1, 2)}, "state is not two-valued at a"),
+        # a value off {0, 1} is named before the sum it breaks
+        ({"a": 2}, "state is not two-valued at a"),
     ],
 )
 def test_state_to_prime_ideal_needs_a_two_valued_state(change, message):
