@@ -19,7 +19,7 @@ from .corpus import corpus as corpus_entries
 from .corpus import get as corpus_get
 from .dot import render_dot
 from .errors import LogicError, ParseError, StructureError
-from .formats import parse_any, serialize
+from .formats import SOURCE_KIND, parse_any, serialize
 from .oa import _blocks, classify, format_label, verify_quasi_oa
 from .partition import (
     oa_to_partition_logic,
@@ -64,20 +64,21 @@ def _load(token):
         entry = corpus_get(token.split(":", 1)[1])
         return entry.kind, entry.payload
     path = Path(token)
-    if not path.is_file():
-        raise StructureError("no such file or corpus entry: %s" % token)
     try:
-        text = path.read_bytes().decode("utf-8")
+        # is_file raises too, for a path under a directory it cannot search
+        if not path.is_file():
+            raise StructureError("no such file or corpus entry: %s" % token)
+        data = path.read_bytes()
+    except OSError as exc:
+        raise StructureError("cannot read %s: %s" % (token, exc.strerror or exc)) from None
+    try:
+        text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         line = exc.object.count(b"\n", 0, exc.start) + 1
         message = "byte 0x%02x is not UTF-8" % exc.object[exc.start]
         raise ParseError(message, line) from None
     kind, payload = parse_any(text)
-    if kind in ("mealy", "moore"):
-        kind = "automaton"
-    if kind == "pts":
-        kind = "test_space"
-    return kind, payload
+    return SOURCE_KIND.get(kind, kind), payload
 
 
 def _table(token):

@@ -13,7 +13,7 @@ from itertools import chain
 
 from .atlas import BooleanAtlas, BooleanChart
 from .automata import MealyAutomaton, MooreAutomaton
-from .errors import ParseError
+from .errors import ParseError, StructureError
 from .oa import GreechieDiagram
 from .partition import PartitionLogic, UrnModel
 from .testspace import PartitionTestSpace
@@ -26,6 +26,9 @@ _LEAD = {
     "states": "automaton",
     "base": "pts",
 }
+
+# the source kind of each parsed kind that differs from it
+SOURCE_KIND = {"mealy": "automaton", "moore": "automaton", "pts": "test_space"}
 
 
 def _lines(text):
@@ -106,16 +109,42 @@ def _block(rest, no):
     return names
 
 
+def _build(lines, key, build, whole, rows):
+    """build(rows), the `key` lines' rows; a fault of one row names its line.
+
+    Only on a StructureError: if the header builds alone, as the one row
+    `whole`, each row is built beside it, and the first that raises the same
+    message names its line.  Any other fault is raised unchanged.
+    """
+    try:
+        return build(rows)
+    except StructureError as exc:
+        fault = exc
+    try:
+        build([whole])
+    except StructureError:
+        raise fault from None
+    for no, row in zip([n for n, k, _rest in lines if k == key], rows):
+        try:
+            build([whole, row])
+        except StructureError as exc:
+            if str(exc) == str(fault):
+                raise ParseError(str(fault), line=no) from None
+    raise fault
+
+
 def _parse_greechie(lines):
     atoms, blocks = _read(lines, ("atoms",), {"block": _block})
     if not blocks:
         raise ParseError("missing block lines")
-    return GreechieDiagram(atoms, blocks)
+    return _build(lines, "block", lambda rows: GreechieDiagram(atoms, rows), atoms, blocks)
 
 
 def _parse_partition_logic(lines):
     points, partitions = _read(lines, ("points",), {"partition": _cells})
-    return PartitionLogic(points, partitions)
+    return _build(
+        lines, "partition", lambda rows: PartitionLogic(points, rows), [points], partitions
+    )
 
 
 def _parse_atlas(lines):
@@ -193,8 +222,12 @@ def _parse_pts(lines):
     base, tests = _read(lines, ("base",), {"test": _cells})
     if not tests:
         raise ParseError("missing test lines")
-    cells = [c for t in tests for c in t]
-    return PartitionTestSpace(base, cells, [frozenset(t) for t in tests])
+    # the order in which a test's cells iterate depends on how its set is
+    # built, so each test is a frozenset before the space maps its cells
+    def build(rows):
+        return PartitionTestSpace(base, chain(*rows), map(frozenset, rows))
+
+    return _build(lines, "test", build, [frozenset(base)], tests)
 
 
 _PARSERS = {

@@ -118,6 +118,77 @@ def test_missing_file_is_input_error():
     assert cli(["verify", "/nonexistent/file.txt"]).status == 2
 
 
+CORPUS_LISTING = """\
+firefly        greechie         two 3-atom blocks sharing one atom; pastes to a 12-element logic
+wright         greechie         three 3-atom blocks in a loop; a 14-element orthoalgebra, not an OMP
+fano           greechie         seven atoms on seven 3-atom lines; admits no two-valued state
+fig12          greechie         five 3-atom blocks; a 20-element orthoalgebra with six two-valued states
+fig15          greechie         two triangle logics glued at one corner atom
+fig16          greechie         two triangle logics glued at one side atom
+urn-firefly    urn              five ball types under two color filters; models the firefly logic
+urn-wright     urn              four ball types under three color filters; models the triangle logic
+pl-wright      partition_logic  three partitions of four points; pastes to the triangle logic
+pl-fig12       partition_logic  five partitions of six points; pastes to the fig12 logic
+mealy-wright   automaton        four-state Mealy machine whose experiments realize the triangle logic
+mealy-fig12    automaton        six-state Mealy machine whose experiments realize the fig12 logic
+nontransitive  atlas            two charts over six points whose union has a non-transitive order
+pts-firefly    test_space       partition test space over four points; its class logic is the firefly
+"""
+
+
+def test_corpus_listing_is_pinned(capsys):
+    # ids, kinds and summaries in registry order; a parsed machine or
+    # partition test space is listed by its source kind
+    assert main(["corpus"]) == 0
+    assert capsys.readouterr() == (CORPUS_LISTING, "")
+    assert main(["--json", "corpus"]) == 0
+    rows = [line.split(None, 2) for line in CORPUS_LISTING.splitlines()]
+    assert json.loads(capsys.readouterr().out) == {
+        "command": ["--json", "corpus"],
+        "status": 0,
+        "result": {"entries": [{"id": i, "kind": k, "summary": s} for i, k, s in rows]},
+    }
+
+
+@pytest.mark.parametrize("method", ["is_file", "read_bytes"])
+def test_unreadable_source_is_input_error(monkeypatch, capsys, method):
+    # is_file raises too when a directory on the path cannot be searched
+    def denied(self):
+        raise PermissionError(13, "Permission denied")
+
+    monkeypatch.setattr(Path, "is_file", lambda self: True)
+    monkeypatch.setattr(Path, method, denied)
+    assert main(["verify", "some.txt"]) == 2
+    assert capsys.readouterr() == ("error: cannot read some.txt: Permission denied\n", "")
+    assert main(["--json", "verify", "some.txt"]) == 2
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert json.loads(out) == {
+        "command": ["--json", "verify", "some.txt"],
+        "status": 2,
+        "result": {"error": "cannot read some.txt: Permission denied"},
+    }
+
+
+@pytest.mark.parametrize(
+    "text, error",
+    [
+        ("base: 1 2 3\ntest: 1 2 | 2 3\n", "line 2: test cells overlap"),
+        ("points: 1 2 3\npartition: 1 | 2\n", "line 2: partition does not cover the ground set"),
+        ("atoms: a b c\nblock: a b\nblock: a x\n", "line 3: block atom 'x' not declared"),
+        # a header fault, and one no row shows on its own, keep no line
+        ("points: 1 1 2\npartition: 1 | 2\n", "duplicate ground point"),
+        ("atoms: a b c d\nblock: a b\nblock: b c\n", "atoms ['d'] occur in no block"),
+        ("omega: 1 2 3\nchart: 1 | 2\n", "line 2: chart cells do not cover omega"),
+    ],
+)
+def test_row_fault_names_its_line(tmp_path, capsys, text, error):
+    src = tmp_path / "bad.txt"
+    src.write_text(text)
+    assert main(["verify", str(src)]) == 2
+    assert capsys.readouterr() == ("error: %s\n" % error, "")
+
+
 def test_file_that_is_not_utf8_is_input_error(tmp_path, capsys):
     bad = tmp_path / "bad.txt"
     bad.write_bytes(b"atoms: a b\xff\nblock: a b\n")

@@ -3,9 +3,12 @@
 The serialized corpus texts are mutated line by line and word by word.
 `formats.parse_any` must agree with the verbatim old parsers in
 `tests/formats_oracle.py`: the same `serialize` output, or the same
-exception type and message.  The one intended difference: an urn text with
-a repeated or missing `balls` or `colors` line, which the new reader
-rejects and the old one read (the last such line won).  Every CLI command
+exception type and message.  Two differences are intended: an urn text
+with a repeated or missing `balls` or `colors` line, which the new reader
+rejects and the old one read (the last such line won); and a diagram,
+partition logic or partition test space whose constructor rejects one row,
+where the new reader adds that row's line to the old message (2,238 of the
+20,000 texts).  Every CLI command
 on a sample of the mutated files must end in a report, never in an
 exception outside `LogicError`; a file that is not UTF-8 text ends in an
 input error naming the line of its first bad byte.
@@ -20,6 +23,7 @@ every line ended in LF or every line ended in CRLF.
 """
 
 import random
+import re
 
 import pytest
 
@@ -86,21 +90,27 @@ def _urn_header_change(text):
 
 
 def test_parsers_agree_with_the_old_parsers_on_mutated_texts():
-    matched = errors = excused = 0
+    matched = errors = excused = lined = 0
     for text in mutations(0, 20000):
         want = _outcome(old.parse_any, text)
         got = _outcome(parse_any, text)
         if got == want:
             matched += 1
             errors += want[0] != "ok"
-        else:
-            assert _urn_header_change(text), (text, want, got)
+        elif _urn_header_change(text):
             assert got[0] == "ParseError", (text, got)
             excused += 1
-    assert matched + excused == 20000
-    # both sides of the parsers are exercised, and the urn change is met
+        else:
+            # a row fault keeps its message and names the row's line
+            assert want[0] == "StructureError", (text, want, got)
+            assert got[0] == "ParseError", (text, got)
+            assert re.fullmatch(r"line \d+: " + re.escape(want[1]), got[1]), (text, got)
+            lined += 1
+    assert matched + excused + lined == 20000
+    # both sides of the parsers are exercised, and both changes are met
     assert 1000 < errors < matched - 1000
     assert excused > 0
+    assert lined > 0
 
 
 def test_cli_commands_on_mutated_files_end_in_a_report(tmp_path):

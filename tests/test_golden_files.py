@@ -1,8 +1,9 @@
 """Behaviour contract for file sources: CLI text and JSON, byte for byte.
 
-`tests/test_golden.py` reads `corpus:` sources and never runs the parser.
-Here every corpus entry is written out with `serialize`, and every source
-command runs on that file.  The temporary directory reads as `$TMP` in the
+`tests/test_golden.py` reads `corpus:` sources, which the parser builds once
+from the corpus texts, keeping their given order.  Here every corpus entry is
+written out with `serialize`, in canonical order, and every source command
+runs on that file.  The temporary directory reads as `$TMP` in the
 stored records.  `tests/golden/files_cli.json` holds the exit status, the
 plain-text stdout and the `--json` stdout of each run.  Regenerate it only
 for an intended change of behaviour:
