@@ -217,7 +217,8 @@ def propositional_calculus(machine, max_word_length):
         if level.keys() <= found.keys():
             break
         found.update(level)
-    return PartitionLogic(machine.states, [_cells(machine.states, c) for c in found])
+    # canonical class ids make distinct tuples distinct partitions
+    return PartitionLogic._of_parts(machine.states, [_cells(machine.states, c) for c in found])
 
 
 def partition_logic_to_mealy(pl):

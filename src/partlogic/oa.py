@@ -251,8 +251,9 @@ def _violations(table, axioms):
 def _is_orthoalgebra(table):
     """Whether the table passes the quasi axioms and associativity.
 
-    Two-valued states are read off the atomic tests, and `blocks` prunes its
-    candidates by compatibility, only on tables that pass.
+    `blocks` prunes its candidates by compatibility only on tables that
+    pass.  The states do not ask: `states._atom_tests` checks the
+    decompositions of 1 instead.
     """
     return not _violations(table, QUASI_AXIOMS + ("oavii",))
 

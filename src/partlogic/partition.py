@@ -3,8 +3,9 @@
 Point sets are made once and shared: `oa_to_partition_logic` makes one
 support per element from the columns `cover._columns` reads off the states'
 0/1 rows, and one partition per unordered sum; `PartitionLogic` checks each
-distinct partition once; `pasting_to_oa` pastes on int masks over the
-ground ranked by `str` and builds one point set per distinct cell union.
+distinct partition once, and `_of_parts` trusts those the library builds;
+`pasting_to_oa` pastes on int masks over the ground ranked by `str` and
+builds one point set per distinct cell union.
 """
 
 from collections import defaultdict
@@ -13,6 +14,7 @@ from itertools import compress, filterfalse
 from .errors import PrimenessError, StructureError
 from .oa import (
     FiniteQuasiOrthoalgebra,
+    _only,
     block_sums,
     cell_key,
     format_label,
@@ -53,6 +55,14 @@ class PartitionLogic:
         if not kept:
             raise StructureError("no partitions given")
         self.partitions = tuple(kept)
+
+    @classmethod
+    def _of_parts(cls, ground, partitions):
+        """A logic from distinct partitions of ground, a list of tuples of
+        frozensets; the constructor checks the ground and the first one."""
+        pl = cls(ground, partitions[:1])
+        pl.partitions = tuple(partitions)
+        return pl
 
     def __repr__(self):
         return "PartitionLogic(%d points, %d partitions)" % (
@@ -168,17 +178,18 @@ def oa_to_partition_logic(table):
     # values x' at 1 exactly when it values x at 0, so p((x+y)') is the
     # support of the complement, and equal cells are one object
     support = [frozenset(compress(names, column)) for column in columns]
-    elements, index, complement = table.elements, table.index, table.complement
+    comp = [_only(c) for c in table._kernel().complements]
 
-    # y + x gives the partition of x + y, so each unordered sum is met once
-    partitions = []
+    # each unordered sum is met once, and every state values one of x, y and
+    # (x+y)' at 1, so the nonempty cells partition the points
+    partitions = {}
     for i, j, k in _sum_entries(table):
-        # raises unless the complement is unique
-        outside = support[index(complement(elements[k]))]
-        cells = [c for c in (support[i], support[j], outside) if c]
+        if comp[k] is None:
+            table.complement(table.elements[k])  # raises: not unique
+        cells = tuple(filter(None, (support[i], support[j], support[comp[k]])))
         if cells:
-            partitions.append(cells)
-    return PartitionLogic(names, partitions)
+            partitions.setdefault(frozenset(cells), cells)
+    return PartitionLogic._of_parts(names, list(partitions.values()))
 
 
 def urn_to_partition_logic(urn):

@@ -2,8 +2,8 @@
 
 All arithmetic is exact (ints and fractions.Fraction).  Two-valued states
 are exact covers, found by `cover.py` and made rows in bulk by `_matrix`.
-An orthoalgebra's states pick one atom from each decomposition of 1 into
-atoms; any other table's states pick one member, valued 1, per sum test.
+States pick one atom from each decomposition of 1 into atoms where
+`_atom_tests` allows it, else one member, valued 1, per sum test.
 """
 
 from dataclasses import dataclass
@@ -14,7 +14,9 @@ from .errors import StructureError
 from .oa import (
     _bounds,
     _decompositions,
-    _is_orthoalgebra,
+    _entries,
+    _minimal,
+    _only,
     bits,
     format_label,
     minimal_nonzero,
@@ -139,14 +141,40 @@ def _sum_entries(table):
 
 
 def _atom_tests(table):
-    """Exact-cover rows of an orthoalgebra's states: its atoms.
+    """Exact-cover rows of the states by atoms, or None when they may not be.
 
-    The columns are the decompositions of 1 into atoms, so a cover picks one
-    atom of each, and it values e_i at 1 iff it meets dec[i], which sums to e_i.
-    That is a state: for a + b = c, dec[a] | dec[b] | dec[c'] and
-    dec[c] | dec[c'] are both decompositions of 1.
+    The columns are the decompositions of 1 into atoms, and a cover S values
+    e_i at |S & dec[i]|, dec[i] being the atom set found summing to e_i.  The
+    rows are used when (C0) every element has a dec, (C1) exactly one
+    complement i', (C3) for a + b = c, dec[a] and dec[b] are disjoint and
+    their union u is dec[c], or u and dec[c'] are disjoint with a
+    decomposition as union, and (C4) each atom p has dec[p] = {p}.  C3 at
+    1 + 1' = 1 empties dec[1'], so at i + i' = 1 it gives (C2): dec[i] and
+    dec[i'] are disjoint with a decomposition as union.  So a cover values
+    e_i and e_i' at 0 and 1 (dec[0] is empty), and by C3 it adds up; a state
+    adds up along the sums that met each atom set, so the atoms it values 1
+    are a cover with its values; and by C4 no two covers share values.
+    Every orthoalgebra passes: each element sums an orthogonal atom set, in
+    any order, so the search meets them all (C0); complements are unique
+    (C1); an atom below two orthogonal elements is orthogonal to itself, so
+    dec[a], dec[b] and dec[c'] are disjoint with sum 1 (C3); and no atom is
+    a sum of other atoms (C4).
     """
+    _bounds(table)
+    sums, _, comps, _, _ = table._kernel()
+    comp = [_only(c) for c in comps]
+    if None in comp:
+        return None
     ones, dec = _decompositions(table)
+    if None in dec:
+        return None
+    whole = set(ones)
+    for a, b, c in _entries(sums):
+        u, rest = dec[a] | dec[b], dec[comp[c]]
+        if dec[a] & dec[b] or u != dec[c] and (u & rest or u | rest not in whole):
+            return None
+    if any(dec[p] != 1 << p for p in _minimal(table, (1 << len(dec)) - 1)):
+        return None
     rows = [0] * len(dec)
     for j, mask in enumerate(ones):
         for i in bits(mask):
@@ -176,8 +204,7 @@ def _sum_tests(table):
 
 def _state_rows(table):
     """The two-valued states' 0/1 bytes over the elements, in value-vector order."""
-    build = _atom_tests if _is_orthoalgebra(table) else _sum_tests
-    width, rows, values = build(table)
+    width, rows, values = _atom_tests(table) or _sum_tests(table)
     w = len(rows)
     m = _matrix(_exact_covers(width, rows), w)
     count = len(m) // w
@@ -404,7 +431,7 @@ def state_space_solve(table):
     f = point if feasible else [Fraction(0)] * len(free)
     values = dict(zip(free, f))
     for p, (prow, rhs) in pivots.items():
-        values[p] = rhs - sum(v * f[local[j]] for j, v in prow.items())
+        values[p] = rhs - sum(v * f[local[j]] for j, v in prow.items() if f[local[j]])
     sample = RationalState(
         table, {e: values[i] for i, e in enumerate(table.elements)}
     )

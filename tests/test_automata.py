@@ -179,6 +179,18 @@ def test_all_words_equal_length_forty_on_mealy_wright():
     assert P.propositional_calculus(m, None).partitions == P.propositional_calculus(m, 40).partitions
 
 
+def test_calculus_keeps_the_constructor_errors():
+    # the calculus hands its partitions on unchecked, but not its ground
+    cases = [
+        (P.MealyAutomaton(["q"], [], ["o"], {}, {}), "no partitions given"),
+        (P.MealyAutomaton(["q", "q"], ["a"], ["o"], {("q", "a"): "q"}, {("q", "a"): "o"}), "duplicate ground point"),
+    ]
+    for machine, message in cases:
+        with pytest.raises(P.StructureError) as err:
+            P.propositional_calculus(machine, 1)
+        assert str(err.value) == message
+
+
 def test_calculus_requires_positive_length():
     with pytest.raises(P.StructureError):
         P.propositional_calculus(mealy_wright(), 0)

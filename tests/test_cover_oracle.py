@@ -7,9 +7,11 @@ nodes handed their children a finished layer, and of
 The search must list the same covers in the same order, and count them, on
 random row families, on the weight rows of loops, chains and random test
 spaces, on the atom and sum tests of random tables and on the cell rows of
-random partition test spaces.  The derived spaces must have the same parts,
-errors and text, and the writer the same text on partition logics and
-partition test spaces whose cells are shared and whose names sort
+random partition test spaces.  The atom route's check must pass every
+orthoalgebra and, wherever it passes, give the sum tests' states, and the
+states path must run no axiom scan.  The derived spaces must have the same
+parts, errors and text, and the writer the same text on partition logics
+and partition test spaces whose cells are shared and whose names sort
 differently as lists and as text.
 """
 
@@ -18,7 +20,7 @@ import random
 import cover_oracle as old
 import formats_oracle as old_formats
 import partlogic as P
-from partlogic import cover, states
+from partlogic import cover, oa, states
 from partlogic.oa import QUASI_AXIOMS, _violations
 from test_order_oracle import SEED, outcome, random_tables
 from test_pasting_oracle import loop_diagram
@@ -106,6 +108,60 @@ def test_atom_and_sum_tests_of_random_tables_agree():
             agrees(width, rows)
             atomic += 1
     assert atomic >= 20
+
+
+def rewired(rng, t):
+    """t with one or two sum entries dropped or set to random elements."""
+    oplus = dict(t.table)
+    for _ in range(rng.randint(1, 2)):
+        if rng.random() < 0.3:
+            del oplus[rng.choice(sorted(oplus))]
+        else:
+            a, b, c = (rng.choice(t.elements) for _ in range(3))
+            oplus[(a, b)] = c
+            if rng.random() < 0.7:
+                oplus[(b, a)] = c
+    return P.FiniteQuasiOrthoalgebra(t.elements, t.zero, t.one, oplus)
+
+
+def test_atom_route_check_keeps_the_states():
+    """`_atom_tests` passes every orthoalgebra, and wherever it passes, the
+    values its covers give, duplicates included, are the sum tests' states.
+    Many random tables that are not orthoalgebras take the atom route; the
+    rewired ones reach the checks that the random tables always pass."""
+    not_oa = 0
+    for seed in range(5):
+        rng = random.Random(seed)
+        tables = random_tables(rng, 600)
+        for t in tables + [rewired(rng, t) for t in tables]:
+            is_oa = oa._is_orthoalgebra(t)
+            built = states._atom_tests(t)
+            assert built is not None or not is_oa
+            if built is None:
+                continue
+            not_oa += not is_oa
+            width, rows, dec = built
+            got = [tuple((d & c).bit_count() for d in dec) for c in old._exact_covers(width, rows)]
+            width, rows, values = states._sum_tests(t)
+            want = [tuple(int(bool(v & c)) for v in values) for c in old._exact_covers(width, rows)]
+            assert sorted(got) == sorted(want)
+    assert not_oa >= 500
+
+
+def test_states_path_runs_no_axiom_scan(monkeypatch):
+    atoms = ["a%d" % i for i in range(9)]
+    table = P.from_greechie(P.GreechieDiagram(atoms, [atoms]))
+
+    def refuse(table):
+        raise AssertionError("an axiom scan on the states path")
+
+    monkeypatch.setattr(oa, "_scans", refuse)
+    assert len(P.enumerate_two_valued_states(table)) == 9
+    assert P.is_prime(table)
+    # x + y = z splits the 9 points in at most three cells, each way once:
+    # S(9, 1) + S(9, 2) + S(9, 3) = 1 + 255 + 3025 partitions
+    pl = P.oa_to_partition_logic(table)
+    assert (len(pl.ground), len(pl.partitions)) == (9, 3281)
 
 
 def test_partition_test_space_cell_rows_agree():

@@ -34,6 +34,20 @@ def test_partition_logic_validation():
         assert str(err.value) == message, partitions
 
 
+def test_built_logics_keep_the_constructor_errors():
+    # oa_to_partition_logic hands its partitions on unchecked, but not its
+    # ground: no sum gives no partition, and a table with no state no point
+    cases = [
+        (P.FiniteQuasiOrthoalgebra(["0", "1"], "0", "1", {}), "no partitions given"),
+        (P.FiniteQuasiOrthoalgebra(["0"], "0", "0", {}), "empty ground set"),
+        (P.FiniteQuasiOrthoalgebra(["0"], "0", "0", {("0", "0"): "0"}), "empty ground set"),
+    ]
+    for table, message in cases:
+        with pytest.raises(P.StructureError) as err:
+            P.oa_to_partition_logic(table)
+        assert str(err.value) == message
+
+
 def test_duplicate_partitions_removed():
     pl = P.PartitionLogic(
         ["1", "2"], [[{"1"}, {"2"}], [{"2"}, {"1"}]]
