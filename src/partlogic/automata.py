@@ -34,10 +34,15 @@ class _Automaton:
         return machine
 
     def __init__(self, states, inputs, outputs, delta, lam):
-        """Raise unless the label dicts are total, every transition enters,
-        every output is declared and a state exists; then set the table."""
+        """Raise unless the states are distinct, the label dicts are total,
+        every transition enters, every output is declared and a state exists;
+        then set the table."""
         states, inputs, outputs = tuple(states), tuple(inputs), tuple(outputs)
         delta, lam = dict(delta), dict(lam)
+        index = {q: i for i, q in enumerate(states)}
+        if len(index) != len(states):
+            repeated = next(q for i, q in enumerate(states) if index[q] != i)
+            raise StructureError("duplicate state %r" % (repeated,))
         moore = self.kind == "moore"
         for q in states:
             if moore and q not in lam:
@@ -47,7 +52,6 @@ class _Automaton:
                     raise StructureError("no transition for (%r, %r)" % (q, a))
                 if not moore and (q, a) not in lam:
                     raise StructureError("no output for (%r, %r)" % (q, a))
-        index = {q: i for i, q in enumerate(states)}
         out_index = {o: k for k, o in enumerate(outputs)}
         for (q, a), target in delta.items():
             if target not in index:

@@ -311,16 +311,23 @@ def _family_text(head, points, row, families):
     """A head line of sorted points, then one sorted row per partition.
 
     A row orders its cells as sorted name lists; the rows ascend as text.
-    Each distinct cell is sorted and joined once.
+    Each distinct cell is ordered and joined once: a cell holding at least an
+    eighth of the points is read off the sorted points, in one pass over
+    them, and a smaller one is sorted, so a partition into many small cells
+    costs no pass over the points per cell.
     """
     # the head line joins the points, so they are str, and cells lie inside them
+    ordered = sorted(points, key=str)
     known = {}
     for cell in chain.from_iterable(families):
         if cell not in known:
-            names = sorted(cell)
+            if 8 * len(cell) >= len(ordered):
+                names = [p for p in ordered if p in cell]
+            else:
+                names = sorted(cell)
             known[cell] = names, " ".join(names)
     rows = (" | ".join([t for _, t in sorted(map(known.__getitem__, f))]) for f in families)
-    lines = [head + ": " + " ".join(sorted(points, key=str))]
+    lines = [head + ": " + " ".join(ordered)]
     lines += [row + ": " + part for part in sorted(rows)] + [""]
     return "\n".join(lines)
 

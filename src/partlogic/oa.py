@@ -587,10 +587,12 @@ def _perspective_classes(insides):
     first = {}
     for inside in insides:
         for h, rest in zip(inside, reversed(inside)):
-            # one root under the other; a no-op when they are one class
-            parent[find(rest)] = find(first.setdefault(h, rest))
-    # every event of a test is some t - h, so parent holds them all
-    return {x: find(x) for x in list(parent)}
+            other = first.setdefault(h, rest)
+            if other != rest:
+                # one root under the other; a no-op when they are one class
+                parent[find(rest)] = find(other)
+    # every event of a test is some h, so first holds them all
+    return {x: find(x) for x in first}
 
 
 def subset_unions(sets, empty=frozenset()):

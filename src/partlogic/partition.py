@@ -14,6 +14,7 @@ from itertools import compress, filterfalse
 from .errors import PrimenessError, StructureError
 from .oa import (
     FiniteQuasiOrthoalgebra,
+    _bounds,
     _only,
     block_sums,
     cell_key,
@@ -165,8 +166,12 @@ def oa_to_partition_logic(table):
 
     Points are the two-valued states (one per prime ideal); each orthogonal
     pair x, y yields the partition {p(x), p(y), p((x+y)')} with empty cells
-    dropped.
+    dropped.  A table whose 0 is its 1 has no state; it is refused as
+    `structural_check` refuses it.
     """
+    _bounds(table)
+    if table.zero == table.one:
+        raise StructureError("zero and one coincide")
     rows, columns, twins = _primeness(table)
     if twins is not None:
         raise PrimenessError(

@@ -1,10 +1,14 @@
 """Foulis-Randall test spaces: events, perspectivity, weights, partition test spaces.
 
-Each distinct test's events are listed once, by bitmask over its outcomes;
-`events`, `is_algebraic` and `pi_logic` read that list.  `pi_logic` takes
-its perspectivity classes from `oa._perspective_classes`, which pastes
-Greechie diagrams too: `from_greechie` is the logic of a diagram's test
-space, its classes named by atoms rather than by their smallest events.
+Each distinct test's events are listed once, as int masks over the outcome
+positions, by bitmask over the test's outcomes.  Outcome p is bit n-1-p, so
+the canonical (size, outcome) order of events is that of (popcount, -mask).
+`is_algebraic`, `pi_logic` and `omp_conditions` read those masks and make
+frozensets only for what they return: `events()`, the witnesses and the
+pi-logic's class labels.  `pi_logic` takes its perspectivity classes from
+`oa._perspective_classes`, which pastes Greechie diagrams too:
+`from_greechie` is the logic of a diagram's test space, its classes named by
+atoms rather than by their smallest events.
 
 Two-valued weights and completions are exact covers, found by the search
 in `cover.py`.  For weights the columns are the tests and the rows the
@@ -41,9 +45,16 @@ from .oa import (
     block_sums,
     cell_key,
     format_label,
-    subsets,
+    subset_unions,
 )
 from .partition import PartitionLogic
+
+
+def _in_order(masks):
+    """Event masks in canonical order: by size, then by descending mask."""
+    masks = sorted(masks, reverse=True)
+    masks.sort(key=int.bit_count)
+    return masks
 
 
 class TestSpace:
@@ -83,13 +94,33 @@ class TestSpace:
 
     @functools.cached_property
     def _insides(self):
-        """Each distinct test's events, listed by bitmask over its outcomes."""
-        return [subsets(sorted(t, key=self._key)) for t in dict.fromkeys(self.tests)]
+        """Each distinct test's event masks, listed by bitmask over its outcomes.
+
+        Outcome p is bit n-1-p of an event mask, so a test's outcomes, in
+        position order, are its bits from the highest down.
+        """
+        last = len(self.outcomes) - 1
+        return [
+            subset_unions(sorted([1 << last - self._position[x] for x in t], reverse=True), 0)
+            for t in dict.fromkeys(self.tests)
+        ]
+
+    def _event_masks(self):
+        """The distinct event masks in canonical order."""
+        return _in_order({e for inside in self._insides for e in inside})
+
+    def _event(self, mask):
+        """The event of a mask, as a frozenset of outcomes."""
+        outcomes, top = [], len(self.outcomes)
+        while mask:
+            low = mask & -mask
+            outcomes.append(self.outcomes[top - low.bit_length()])
+            mask ^= low
+        return frozenset(outcomes)
 
     def events(self):
         """All subsets of tests, deduplicated, in (size, outcome) order."""
-        events = {e for inside in self._insides for e in inside}
-        return sorted(events, key=self.event_key)
+        return [self._event(e) for e in self._event_masks()]
 
     def is_event(self, subset):
         subset = frozenset(subset)
@@ -200,20 +231,21 @@ def is_algebraic(ts):
     F ~ G, F loc H but not G loc H, scanning events in canonical order.
     That happens iff two events sharing a local complement differ in one.
     """
-    # reversing a test's events, listed by bitmask, pairs h with t - h
-    locs, sharing = defaultdict(set), defaultdict(set)
+    # reversing a test's events, listed by bitmask, pairs h with t - h; the
+    # pairs run both ways, so locs[h] is also the set of events sharing h
+    locs = defaultdict(set)
     for inside in ts._insides:
         for h, rest in zip(inside, reversed(inside)):
             locs[h].add(rest)
-            sharing[rest].add(h)
-    if all(len({frozenset(locs[g]) for g in gs}) == 1 for gs in sharing.values()):
+    if all(len(gs) == 1 or len({frozenset(locs[g]) for g in gs}) == 1 for gs in locs.values()):
         return PropertyCheck(True)
-    for f in ts.events():
-        perspective = set().union(*(sharing[h] for h in locs[f]))
-        for g in sorted(perspective, key=ts.event_key):
+    for f in ts._event_masks():
+        perspective = set().union(*(locs[h] for h in locs[f]))
+        for g in _in_order(perspective):
             missing = locs[f] - locs[g]
             if missing:
-                return PropertyCheck(False, (f, g, min(missing, key=ts.event_key)))
+                witness = f, g, _in_order(missing)[0]
+                return PropertyCheck(False, tuple(map(ts._event, witness)))
     return PropertyCheck(True)
 
 
@@ -230,18 +262,19 @@ def pi_logic(ts):
             "test space is not algebraic", witness=check.witness
         )
     class_of = _perspective_classes(ts._insides)
-    # events ascend by event_key, so each class meets its smallest first
-    # and the representatives ascend too
+    # the masks ascend in canonical order, so each class meets its smallest
+    # first and the representatives ascend too
     rep = {}
-    for e in ts.events():
+    for e in ts._event_masks():
         rep.setdefault(class_of[e], e)
-    pieces = [[rep[class_of[e]] for e in inside] for inside in ts._insides]
+    label = {root: ts._event(e) for root, e in rep.items()}
+    pieces = [[label[class_of[e]] for e in inside] for inside in ts._insides]
     # on an algebraic test space the sum of two classes is well-defined
     oplus, _ = block_sums(pieces)
     # a piece runs from the empty event to its whole test, and all tests
     # are perspective through the empty event, so they form the class 1
     zero, one = pieces[0][0], pieces[0][-1]
-    return FiniteQuasiOrthoalgebra(list(rep.values()), zero, one, oplus)
+    return FiniteQuasiOrthoalgebra(list(label.values()), zero, one, oplus)
 
 
 _VALUES = (Fraction(0), Fraction(1))
@@ -253,14 +286,6 @@ class Weight:
     def __init__(self, space, values):
         self.space = space
         self.values = {x: Fraction(values[x]) for x in space.outcomes}
-
-    @classmethod
-    def _of_row(cls, space, row):
-        """The two-valued weight whose 0/1 bytes over the outcomes are row."""
-        weight = cls.__new__(cls)
-        weight.space = space
-        weight._row = row
-        return weight
 
     @functools.cached_property
     def values(self):
@@ -312,7 +337,12 @@ def enumerate_two_valued_weights(ts):
     """All {0,1} weights (one outcome valued 1 per test), by value vector."""
     n = len(ts.outcomes)
     m = _two_valued_matrix(ts)
-    return [Weight._of_row(ts, m[k:k + n]) for k in range(0, len(m), n)]
+    weights, new = [], Weight.__new__
+    for k in range(0, len(m), n):
+        weight = new(Weight)
+        weight.space, weight._row = ts, m[k:k + n]
+        weights.append(weight)
+    return weights
 
 
 def count_two_valued_weights(ts):
@@ -404,7 +434,7 @@ def omp_conditions(pts):
     concrete: disjoint unions coincide with event orthogonality.
     """
     ts = pts.as_test_space()
-    events = ts.events()
+    events = ts._event_masks()
     index = {e: i for i, e in enumerate(events)}
 
     # orth[i]: the events disjoint from event i and inside a common test,
@@ -424,19 +454,20 @@ def omp_conditions(pts):
             bad = oi & orth[j] & ~orth[joined[i, j]]
             if bad:
                 g = (bad & -bad).bit_length() - 1
-                triple_witness = (events[i], events[j], events[g])
+                triple_witness = tuple(map(ts._event, (events[i], events[j], events[g])))
                 break
         if triple_witness:
             break
 
     point = {p: 1 << k for k, p in enumerate(pts.base)}
-    cover = {x: sum(point[p] for p in x) for x in ts.outcomes}
+    # cover[b]: the points of the cell that is outcome bit b
+    cover = [sum(point[p] for p in x) for x in reversed(ts.outcomes)]
     # the cells of an event lie in one test, so they are disjoint
-    unions = [sum(cover[x] for x in e) for e in events]
+    unions = [sum(cover[b] for b in bits(e)) for e in events]
     concrete_witness = None
     for i, j in itertools.combinations(range(len(events)), 2):
         if (not unions[i] & unions[j]) != bool(orth[i] >> j & 1):
-            concrete_witness = (events[i], events[j])
+            concrete_witness = (ts._event(events[i]), ts._event(events[j]))
             break
     return OmpConditions(
         triple_witness is None,

@@ -180,14 +180,18 @@ def test_all_words_equal_length_forty_on_mealy_wright():
 
 
 def test_calculus_keeps_the_constructor_errors():
-    # the calculus hands its partitions on unchecked, but not its ground
+    # the calculus hands its partitions on unchecked, but not its ground;
+    # a repeated state is refused before there is a machine to read
     cases = [
-        (P.MealyAutomaton(["q"], [], ["o"], {}, {}), "no partitions given"),
-        (P.MealyAutomaton(["q", "q"], ["a"], ["o"], {("q", "a"): "q"}, {("q", "a"): "o"}), "duplicate ground point"),
+        (lambda: P.MealyAutomaton(["q"], [], ["o"], {}, {}), "no partitions given"),
+        (
+            lambda: P.MealyAutomaton(["q", "q"], ["a"], ["o"], {("q", "a"): "q"}, {("q", "a"): "o"}),
+            "duplicate state 'q'",
+        ),
     ]
     for machine, message in cases:
         with pytest.raises(P.StructureError) as err:
-            P.propositional_calculus(machine, 1)
+            P.propositional_calculus(machine(), 1)
         assert str(err.value) == message
 
 

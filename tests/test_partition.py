@@ -36,11 +36,12 @@ def test_partition_logic_validation():
 
 def test_built_logics_keep_the_constructor_errors():
     # oa_to_partition_logic hands its partitions on unchecked, but not its
-    # ground: no sum gives no partition, and a table with no state no point
+    # ground: no sum gives no partition, and a table whose 0 is its 1, which
+    # has no state, is refused as structural_check refuses it
     cases = [
         (P.FiniteQuasiOrthoalgebra(["0", "1"], "0", "1", {}), "no partitions given"),
-        (P.FiniteQuasiOrthoalgebra(["0"], "0", "0", {}), "empty ground set"),
-        (P.FiniteQuasiOrthoalgebra(["0"], "0", "0", {("0", "0"): "0"}), "empty ground set"),
+        (P.FiniteQuasiOrthoalgebra(["0"], "0", "0", {}), "zero and one coincide"),
+        (P.FiniteQuasiOrthoalgebra(["0"], "0", "0", {("0", "0"): "0"}), "zero and one coincide"),
     ]
     for table, message in cases:
         with pytest.raises(P.StructureError) as err:
