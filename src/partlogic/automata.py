@@ -10,6 +10,15 @@ from .errors import StructureError
 from .partition import PartitionLogic
 
 
+def _positions(what, names):
+    """Each name's position; raise on a name listed twice."""
+    at = {x: i for i, x in enumerate(names)}
+    if len(at) != len(names):
+        repeated = next(x for i, x in enumerate(names) if at[x] != i)
+        raise StructureError("duplicate %s %r" % (what, repeated))
+    return at
+
+
 class _Automaton:
     """A machine stored as its step table.
 
@@ -34,15 +43,14 @@ class _Automaton:
         return machine
 
     def __init__(self, states, inputs, outputs, delta, lam):
-        """Raise unless the states are distinct, the label dicts are total,
-        every transition enters, every output is declared and a state exists;
-        then set the table."""
+        """Raise unless the states, inputs and outputs are each distinct, the
+        label dicts are total, every transition enters, every output is
+        declared and a state exists; then set the table."""
         states, inputs, outputs = tuple(states), tuple(inputs), tuple(outputs)
         delta, lam = dict(delta), dict(lam)
-        index = {q: i for i, q in enumerate(states)}
-        if len(index) != len(states):
-            repeated = next(q for i, q in enumerate(states) if index[q] != i)
-            raise StructureError("duplicate state %r" % (repeated,))
+        index = _positions("state", states)
+        _positions("input", inputs)
+        out_index = _positions("output", outputs)
         moore = self.kind == "moore"
         for q in states:
             if moore and q not in lam:
@@ -52,7 +60,6 @@ class _Automaton:
                     raise StructureError("no transition for (%r, %r)" % (q, a))
                 if not moore and (q, a) not in lam:
                     raise StructureError("no output for (%r, %r)" % (q, a))
-        out_index = {o: k for k, o in enumerate(outputs)}
         for (q, a), target in delta.items():
             if target not in index:
                 raise StructureError(
@@ -232,19 +239,19 @@ def partition_logic_to_mealy(pl):
     1-based cell indices in the partition's stored cell order, and every
     transition enters the first ground point.
     """
-    inputs = []
-    # keyed by symbol: two partitions spell one symbol only when point names
-    # hold ',', and then both columns take the last one's outputs, as the
-    # (q, symbol) keys of the lam view do
+    # distinct partitions spell one symbol only when point names hold ',' or
+    # '|', or two points print alike
     columns = {}
     for part in pl.partitions:
         symbol = "|".join(",".join(sorted(c, key=str)) for c in part)
-        inputs.append(symbol)
+        if symbol in columns:
+            raise StructureError("two partitions spell the input %r" % (symbol,))
         cell_of = {q: i for i, cell in enumerate(part) for q in cell}
         columns[symbol] = [cell_of[q] for q in pl.ground]
     width = max(map(len, pl.partitions))
     outputs = [str(i) for i in range(1, width + 1)]
     # every transition enters the first ground point, index 0
     sink = [0] * len(pl.ground)
-    out = [columns[a] for a in inputs]
-    return MealyAutomaton._from_table(pl.ground, inputs, outputs, [sink] * len(inputs), out)
+    return MealyAutomaton._from_table(
+        pl.ground, list(columns), outputs, [sink] * len(columns), list(columns.values())
+    )

@@ -8,7 +8,8 @@ uncovered-column mask; a component found with its middle layer branches
 at once.  `count_exact_covers` folds the covers into their number and
 `_exact_covers` into a list of masks over row indices.  `states` builds
 rows from a table's atoms or sum equations, `testspace` from a test space's
-outcomes or a partition test space's cells.
+outcomes or a partition test space's cells; an instance given by its
+columns, as masks over the rows, is turned into rows by `_transpose`.
 """
 
 import math
@@ -111,14 +112,20 @@ def count_exact_covers(width, rows):
     return _search(width, rows, 1, math.prod, lambda pairs: sum(n for n, _ in pairs))
 
 
+def _transpose(masks, n):
+    """The n rows of column masks: bit j of row r is bit r of masks[j]."""
+    rows = [0] * n
+    for j, mask in enumerate(masks):
+        while mask:
+            low = mask & -mask
+            rows[low.bit_length() - 1] |= 1 << j
+            mask ^= low
+    return rows
+
+
 def _row_masks(width, rows):
     """Per column the mask of rows that hold it; per row the rows it meets."""
-    col_rows = [0] * width
-    for r, row in enumerate(rows):
-        while row:
-            low = row & -row
-            col_rows[low.bit_length() - 1] |= 1 << r
-            row ^= low
+    col_rows = _transpose(rows, width)
     clash = []
     for row in rows:
         meets = 0

@@ -248,20 +248,20 @@ _VALUE = re.compile(r" -> (.*)\n")
 def _written_machine(text, kind=None):
     """The machine whose writer's text is `text`, up to CRLF line ends, else None.
 
-    Reads the header names, each list free of '#' and '->' and the states
-    and inputs distinct; then every row's value, in the writer's order:
-    the delta rows state by state, then the lambda rows.  The kind, unless
-    given, is that of the first lambda line.  The machine is taken only if
-    `_machine_text` writes it back byte for byte, every line ending in CRLF
-    if the first does (its values then keep their CR), so the general path,
-    which reads every other text, would build the same machine.
+    Reads the header names, each list free of '#' and '->' and of repeated
+    names; then every row's value, in the writer's order: the delta rows
+    state by state, then the lambda rows.  The kind, unless given, is that
+    of the first lambda line.  The machine is taken only if `_machine_text`
+    writes it back byte for byte, every line ending in CRLF if the first
+    does (its values then keep their CR), so the general path, which reads
+    every other text, would build the same machine.
     """
     cr = "\r" if text[: text.find("\n")].endswith("\r") else ""
     head = _HEAD.match(text)
     if head is None or "#" in head[0] or "->" in head[0]:
         return None
     states, inputs, outputs = (names.split() for names in head.groups())
-    if not states or len(set(states)) < len(states) or len(set(inputs)) < len(inputs):
+    if not states or any(len(set(names)) < len(names) for names in (states, inputs, outputs)):
         return None
     if kind is None:
         line = _LAMBDA.match(text, text.find("\nlambda: ") + 1)

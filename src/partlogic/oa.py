@@ -43,6 +43,11 @@ def bits(mask):
         mask ^= low
 
 
+def _in_order(masks):
+    """Masks in canonical order: by size, then by descending mask."""
+    return sorted(sorted(masks, reverse=True), key=int.bit_count)
+
+
 @dataclass(frozen=True)
 class Violation:
     axiom: str
@@ -318,12 +323,6 @@ def join(table, a, b):
         if not common & ~up[x]:
             return table.elements[x]
     return None
-
-
-def minimal_nonzero(table, members):
-    """The <=-minimal nonzero elements among members, in index order."""
-    mask = sum(1 << table.index(e) for e in members)
-    return [table.elements[p] for p in _minimal(table, mask)]
 
 
 def _minimal(table, mask):
@@ -716,15 +715,20 @@ def from_greechie(diagram):
     The diagram is read as a test space whose tests are its blocks, and the
     pasting is its logic: events, the atom sets inside a block, are
     identified up to perspectivity (t - h ~ t' - h when blocks t and t' both
-    hold h), the classes of `_perspective_classes`.  A class is named by its
-    atom when it holds one, else through its complement or by its smallest
-    event; a name that an earlier class took gets "~" appended until it is
-    free.  The sum glues within each block.
+    hold h), the classes of `_perspective_classes`.  Events are int masks,
+    atom a at bit n-1-rank(a) over the atoms ranked by str, as `pasting_to_oa`
+    ranks points.  A class is named by its atom when it holds one, else
+    through its complement or by its smallest event; a name that an earlier
+    class took gets "~" appended until it is free.  The sum glues within
+    each block.
     """
-    insides = [subsets(blk) for blk in diagram.blocks]
+    # the atom at bit b is down[b]; each block lists its events by bitmask over its atoms
+    down = sorted(diagram.atoms, key=str)[::-1]
+    bit = {a: 1 << b for b, a in enumerate(down)}
+    insides = [subset_unions([bit[a] for a in blk], 0) for blk in diagram.blocks]
     class_of = _perspective_classes(insides)
     # 0 is {empty event}: that is t - h only for h = t, and no block holds another
-    zero, one = class_of[frozenset()], class_of[insides[0][-1]]
+    zero, one = class_of[0], class_of[insides[0][-1]]
     comp = {
         class_of[h]: class_of[rest]
         for inside in insides
@@ -733,13 +737,13 @@ def from_greechie(diagram):
     if any(root == c for root, c in comp.items()):
         raise PastingError("pasting identifies a class with its own complement")
 
-    # events ascend by size and atom names, so each class meets its
-    # representative, the smallest event, first; a single atom names it
+    # in canonical order events ascend by size and atom names, so each class
+    # meets its representative, the smallest event, first; a single atom names it
     rep = {}
-    for e in sorted(class_of, key=lambda e: (len(e), cell_key(e))):
+    for e in _in_order(class_of):
         rep.setdefault(class_of[e], e)
     # an atom is never renamed; a derived label already taken gets "~"s
-    labels = {root: str(*e) for root, e in rep.items() if len(e) == 1}
+    labels = {root: str(down[e.bit_length() - 1]) for root, e in rep.items() if e.bit_count() == 1}
     taken = set(labels.values())
     if len(taken) != len(labels):
         raise PastingError("pasting produced colliding element labels")
@@ -764,13 +768,13 @@ def from_greechie(diagram):
             if c in labels and c not in (zero, one) and "'" not in labels[c]:
                 name(root, labels[c] + "'")
             else:
-                name(root, "+".join(cell_key(rep[root])))
+                name(root, "+".join(sorted(str(down[b]) for b in bits(rep[root]))))
 
     # 0 is the only class of empty sets and 1 holds only full blocks, so
     # this sorts 0, the atoms, the larger classes, then 1
     roots = sorted(
         rep,
-        key=lambda root: (root == one, len(rep[root]), labels[root]),
+        key=lambda root: (root == one, rep[root].bit_count(), labels[root]),
     )
     oplus, clash = block_sums(
         [[labels[class_of[e]] for e in inside] for inside in insides]

@@ -15,6 +15,7 @@ from .errors import PrimenessError, StructureError
 from .oa import (
     FiniteQuasiOrthoalgebra,
     _bounds,
+    _in_order,
     _only,
     block_sums,
     cell_key,
@@ -149,7 +150,7 @@ def pasting_to_oa(pl):
             labels.append(cells[0] if len(cells) == 1 else frozenset().union(*cells))
         pieces.append(list(map(number.__getitem__, unions)))
     if len(set(map(str, ranked))) == n:
-        order = map(number.__getitem__, sorted(sorted(number, reverse=True), key=int.bit_count))
+        order = map(number.__getitem__, _in_order(number))
     else:
         # colliding labels: the stable sort on the point sets, in the order met
         order = sorted(range(len(labels)), key=lambda i: (len(labels[i]), cell_key(labels[i])))

@@ -9,7 +9,7 @@ States pick one atom from each decomposition of 1 into atoms where
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cover import _columns, _exact_covers, _matrix
+from .cover import _columns, _exact_covers, _matrix, _transpose
 from .errors import StructureError
 from .oa import (
     _bounds,
@@ -19,7 +19,6 @@ from .oa import (
     _only,
     bits,
     format_label,
-    minimal_nonzero,
 )
 
 
@@ -126,7 +125,7 @@ class StateSpaceSolution:
 
 def atoms_of(table):
     """<=-minimal nonzero elements of a table, in index order."""
-    return minimal_nonzero(table, table.elements)
+    return [table.elements[p] for p in _minimal(table, (1 << len(table.elements)) - 1)]
 
 
 def _sum_entries(table):
@@ -175,11 +174,7 @@ def _atom_tests(table):
             return None
     if any(dec[p] != 1 << p for p in _minimal(table, (1 << len(dec)) - 1)):
         return None
-    rows = [0] * len(dec)
-    for j, mask in enumerate(ones):
-        for i in bits(mask):
-            rows[i] |= 1 << j
-    return len(ones), rows, dec
+    return len(ones), _transpose(ones, len(dec)), dec
 
 
 def _sum_tests(table):
@@ -191,12 +186,9 @@ def _sum_tests(table):
     """
     n = len(table.elements)
     entries = _sum_entries(table)
-    tests = [(table.index(table.one),)] + [(i, n + i) for i in range(n)]
-    tests += [(a, b, n + c) for a, b, c in entries]
-    rows = [0] * (2 * n)
-    for j, test in enumerate(tests):
-        for r in test:
-            rows[r] |= 1 << j
+    tests = [1 << table.index(table.one)] + [1 << i | 1 << n + i for i in range(n)]
+    tests += [1 << a | 1 << b | 1 << n + c for a, b, c in entries]
+    rows = _transpose(tests, 2 * n)
     for r in [table.index(table.zero)] + [a for a, b, _ in entries if a == b]:
         rows[r] = 0
     return len(tests), rows, [1 << i for i in range(n)]

@@ -2,7 +2,7 @@
 
 Each distinct test's events are listed once, as int masks over the outcome
 positions, by bitmask over the test's outcomes.  Outcome p is bit n-1-p, so
-the canonical (size, outcome) order of events is that of (popcount, -mask).
+the canonical (size, outcome) order of events is `oa._in_order`'s.
 `is_algebraic`, `pi_logic` and `omp_conditions` read those masks and make
 frozensets only for what they return: `events()`, the witnesses and the
 pi-logic's class labels.  `pi_logic` takes its perspectivity classes from
@@ -12,7 +12,8 @@ atoms rather than by their smallest events.
 
 Two-valued weights and completions are exact covers, found by the search
 in `cover.py`.  For weights the columns are the tests and the rows the
-outcomes (`_weight_rows`); an outcome in no test is free.  For completions
+outcomes (`_weight_rows`, the `cover._transpose` of the tests' outcome
+masks); an outcome in no test is free.  For completions
 the columns are the base points and the rows the cells.  A listed weight
 keeps its row of `cover._matrix` and builds its values on first use.
 `ts_to_partition_test_space` takes the outcomes' columns, and their first
@@ -23,7 +24,8 @@ the tests `completion` adds are exact covers too, and those of
 three skip the constructor's checks.
 
 `omp_conditions` reads each test's disjoint event pairs off `_insides` by
-`oa._splits`, into one orthogonality bitmask over event indices per event.
+`oa._splits`, into one orthogonality bitmask over event indices per event,
+and the events holding each outcome off `cover._transpose`.
 """
 
 import functools
@@ -33,12 +35,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .atlas import PropertyCheck
-from .cover import _columns, _cross, _exact_covers, _matrix, count_exact_covers
+from .cover import _columns, _cross, _exact_covers, _matrix, _transpose, count_exact_covers
 from .errors import AlgebraicityError, SeparationError, StructureError
 from .oa import (
     AxiomReport,
     FiniteQuasiOrthoalgebra,
     Violation,
+    _in_order,
     _perspective_classes,
     _splits,
     bits,
@@ -48,13 +51,6 @@ from .oa import (
     subset_unions,
 )
 from .partition import PartitionLogic
-
-
-def _in_order(masks):
-    """Event masks in canonical order: by size, then by descending mask."""
-    masks = sorted(masks, reverse=True)
-    masks.sort(key=int.bit_count)
-    return masks
 
 
 class TestSpace:
@@ -318,11 +314,9 @@ def _weight_rows(ts):
     cover's row mask is the mask of outcomes its weight values 1, and the
     masks ascend in the order of the weights' value vectors.
     """
-    tests_of = dict.fromkeys(ts.outcomes, 0)
-    for j, t in enumerate(ts.tests):
-        for x in t:
-            tests_of[x] |= 1 << j
-    return [tests_of[x] for x in reversed(ts.outcomes)]
+    last = len(ts.outcomes) - 1
+    tests = [sum(1 << last - ts._position[x] for x in t) for t in ts.tests]
+    return _transpose(tests, last + 1)
 
 
 def _two_valued_matrix(ts):
@@ -460,14 +454,27 @@ def omp_conditions(pts):
             break
 
     point = {p: 1 << k for k, p in enumerate(pts.base)}
-    # cover[b]: the points of the cell that is outcome bit b
+    # cover[b]: the points of the cell that is outcome bit b; holding[b]:
+    # the events holding that outcome; near[b]: those holding a cell it meets
     cover = [sum(point[p] for p in x) for x in reversed(ts.outcomes)]
-    # the cells of an event lie in one test, so they are disjoint
-    unions = [sum(cover[b] for b in bits(e)) for e in events]
+    holding = _transpose(events, len(cover))
+    near = [0] * len(cover)
+    for b, c in enumerate(cover):
+        for d, h in zip(cover, holding):
+            if c & d:
+                near[b] |= h
+    # orthogonal events are disjoint cells of one test, so a fault is a later
+    # event that shares no point with event i and is not orthogonal to it
+    everything = (1 << len(events)) - 1
     concrete_witness = None
-    for i, j in itertools.combinations(range(len(events)), 2):
-        if (not unions[i] & unions[j]) != bool(orth[i] >> j & 1):
-            concrete_witness = (ts._event(events[i]), ts._event(events[j]))
+    for i, e in enumerate(events):
+        meets = 0
+        for b in bits(e):
+            meets |= near[b]
+        faults = everything & -(2 << i) & ~(meets | orth[i])
+        if faults:
+            j = (faults & -faults).bit_length() - 1
+            concrete_witness = (ts._event(e), ts._event(events[j]))
             break
     return OmpConditions(
         triple_witness is None,

@@ -181,18 +181,36 @@ def test_all_words_equal_length_forty_on_mealy_wright():
 
 def test_calculus_keeps_the_constructor_errors():
     # the calculus hands its partitions on unchecked, but not its ground;
-    # a repeated state is refused before there is a machine to read
+    # a repeated state, input or output is refused before there is a machine
+    # to read, the states checked first, then the inputs, then the outputs
+    step, out = {("q", "a"): "q", ("q", "b"): "q"}, {("q", "a"): "o"}
     cases = [
         (lambda: P.MealyAutomaton(["q"], [], ["o"], {}, {}), "no partitions given"),
         (
             lambda: P.MealyAutomaton(["q", "q"], ["a"], ["o"], {("q", "a"): "q"}, {("q", "a"): "o"}),
             "duplicate state 'q'",
         ),
+        (lambda: P.MealyAutomaton(["q"], ["a", "a"], ["o"], step, out), "duplicate input 'a'"),
+        (lambda: P.MealyAutomaton(["q"], ["a"], ["o", "o"], step, out), "duplicate output 'o'"),
+        (lambda: P.MooreAutomaton(["q"], ["a", "b", "a"], ["o"], step, {"q": "o"}), "duplicate input 'a'"),
+        (lambda: P.MooreAutomaton(["q"], ["a"], ["o", "p", "p"], step, {"q": "o"}), "duplicate output 'p'"),
+        (lambda: P.MealyAutomaton(["q", "q"], ["a", "a"], ["o", "o"], {}, {}), "duplicate state 'q'"),
+        (lambda: P.MealyAutomaton(["q"], ["a", "a"], ["o", "o"], {}, {}), "duplicate input 'a'"),
     ]
     for machine, message in cases:
         with pytest.raises(P.StructureError) as err:
             P.propositional_calculus(machine(), 1)
         assert str(err.value) == message
+
+
+def test_realization_refuses_partitions_that_spell_one_input():
+    # point names holding ',' let two partitions print as one symbol
+    pl = P.PartitionLogic(
+        ["a", "b", "c", "a,b"], [[{"a", "b"}, {"c", "a,b"}], [{"a,b"}, {"a", "b", "c"}]]
+    )
+    with pytest.raises(P.StructureError) as err:
+        P.partition_logic_to_mealy(pl)
+    assert str(err.value) == "two partitions spell the input 'a,b|a,b,c'"
 
 
 def test_calculus_requires_positive_length():

@@ -227,6 +227,14 @@ def test_machine_without_states_is_input_error(tmp_path, capsys):
     assert capsys.readouterr() == ("error: empty state set\n", "")
 
 
+def test_machine_with_a_repeated_input_is_input_error(tmp_path, capsys):
+    # the machine's constructor refuses a repeated input as a repeated state
+    src = tmp_path / "m.txt"
+    src.write_text("states: q\ninputs: a a\noutputs: o\ndelta: q a -> q\nlambda: q a -> o\n")
+    assert main(["from-automaton", str(src)]) == 2
+    assert capsys.readouterr() == ("error: duplicate input 'a'\n", "")
+
+
 def test_out_of_memory_exits_three_without_traceback(monkeypatch, capsys):
     def exhausted(table):
         raise MemoryError

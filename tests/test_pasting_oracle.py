@@ -9,9 +9,10 @@ a name the old `from_greechie` gave a derived element, it raised; the new
 one keeps every atom's name and must paste a table isomorphic to the old
 builder's on the diagram with its atoms renamed apart.  Pastings of Greechie
 diagrams and partition logics must also list the table's entries in the
-same order; partition logics range over grounds of up to 70 points, ints
-among them, and where two points print alike, the element order is checked
-against the order in which the cell unions are first met.
+same order; diagrams include ones with int atoms and with atoms declared
+out of str order, and partition logics range over grounds of up to 70
+points, ints among them, and where two points print alike, the element
+order is checked against the order in which the cell unions are first met.
 """
 
 import itertools
@@ -85,6 +86,23 @@ def random_diagrams(seed, want):
         d = random_diagram(rng)
         if d is not None:
             out.append(d)
+    return out
+
+
+def renamed_diagrams(seed, want):
+    """Random diagrams whose atoms do not rank by str as they are declared.
+
+    The atoms become ints or names a0..a12, so 10 ranks before 9 and a10
+    before a2, and they are declared in a shuffled order.
+    """
+    rng = random.Random(seed)
+    out = []
+    for d in random_diagrams(seed, want):
+        picked = rng.sample(range(13), len(d.atoms))
+        new = dict(zip(d.atoms, picked if rng.random() < 0.5 else ["a%d" % i for i in picked]))
+        atoms = [new[a] for a in d.atoms]
+        rng.shuffle(atoms)
+        out.append(P.GreechieDiagram(atoms, [[new[a] for a in blk] for blk in d.blocks]))
     return out
 
 
@@ -166,6 +184,7 @@ def pastes_like_renamed_apart(diagram):
 
 def test_from_greechie_matches_old_builder():
     diagrams = random_diagrams(SEED, 2000)
+    diagrams += renamed_diagrams(SEED + 2, 1000)
     diagrams += [loop_diagram(k) for k in range(2, 9)]
     diagrams += [e.payload for e in P.corpus() if e.kind == "greechie"]
     texts = Counter()

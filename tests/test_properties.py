@@ -11,18 +11,22 @@ oracle, and a prime pasting must come back, prime and isomorphic through a
 sum-preserving map, from the pasting of its partition logic.  A drawn
 diagram that pastes and whose test space is algebraic must paste into a
 table isomorphic, through a sum-preserving map, to the logic of that test
-space.  The runs are derandomized and bounded, so they repeat exactly.
+space.  `cover._transpose`, which builds the rows of every exact-cover
+instance, must set bit j of row r exactly when column j holds bit r, and
+undo itself, on empty, zero-width and wider-than-64-bit columns alike.  The
+runs are derandomized and bounded, so they repeat exactly.
 """
 
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
 
-from hypothesis import assume, given, settings  # noqa: E402
+from hypothesis import assume, example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 import partlogic as P  # noqa: E402
 from conftest import brute_force_states, sums_preserved  # noqa: E402
+from partlogic.cover import _transpose  # noqa: E402
 from partlogic.formats import parse_any, serialize  # noqa: E402
 
 bounded = settings(derandomize=True, max_examples=60, deadline=None)
@@ -162,3 +166,27 @@ def test_pasting_is_the_logic_of_the_diagram_test_space(diagram):
     iso = P.isomorphic(t, u)
     assert iso is not None
     assert sums_preserved(t, u, iso.mapping)
+
+
+@st.composite
+def columns(draw):
+    """Up to 70 column masks over n rows, n from 0 to 130."""
+    n = draw(st.integers(0, 130))
+    return n, draw(st.lists(st.integers(0, (1 << n) - 1), max_size=70))
+
+
+@bounded
+@given(columns())
+@example((0, []))
+@example((0, [0, 0, 0]))
+@example((3, []))
+@example((130, [(1 << 130) - 1, 0, 1 << 129]))
+def test_transpose_swaps_rows_and_columns(family):
+    n, masks = family
+    rows = _transpose(masks, n)
+    assert len(rows) == n
+    for r, row in enumerate(rows):
+        assert row < 1 << len(masks)
+        for j, mask in enumerate(masks):
+            assert row >> j & 1 == mask >> r & 1
+    assert _transpose(rows, len(masks)) == masks
